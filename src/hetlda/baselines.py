@@ -8,17 +8,26 @@ directly comparable.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminant import (ClassStats, LinearDiscriminant, Priors,
-                           bayes_error, project_stats)
+from .discriminant import (_MIN_PROJECTED_VARIANCE, ClassStats,
+                           LinearDiscriminant, Priors, bayes_error,
+                           project_stats)
 from .errors import DegenerateProjection, ZeroDirection
 from .numkit import solve_symmetric
 
 __all__ = ["SweepConfig", "train_lda", "train_chld", "train_rhld1",
            "train_rhld2"]
+
+_SINGULAR_RTOL = 1e-10
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _q(z: np.ndarray) -> np.ndarray:  # elementwise numkit.q_function
+    return 0.5 * _erfc(z / math.sqrt(2.0)).astype(float)
 
 
 @dataclass(frozen=True)
@@ -77,11 +86,61 @@ def train_lda(stats1: ClassStats, stats2: ClassStats,
     return _evaluate(w, w0, stats1, stats2, priors)
 
 
-def _direction(blend: np.ndarray, diff: np.ndarray) -> np.ndarray | None:
-    w = solve_symmetric(blend, diff)
-    if not np.any(w) or not np.all(np.isfinite(w)):
-        return None
-    return w
+def _blend_search(stats1: ClassStats, stats2: ClassStats, priors: Priors,
+                  s1: np.ndarray, s2: np.ndarray, thresholds,
+                  reported: np.ndarray) -> tuple:
+    """Best rule over the blends s1[i] C1 + s2[i] C2, ties to the first
+    candidate and threshold; returns (rule, error, *reported[winner]).
+
+    C2 = U diag(e) U' and W' C1 W = V diag(lam) V', W = U diag(e)^-1/2,
+    give T = W V with T' C1 T = diag(lam), T' C2 T = I and direction
+    T (T' diff / (s1 lam + s2)): O(d) per candidate. C2 or blends whose
+    |eigenvalues| spread by over 1/_SINGULAR_RTOL use solve_symmetric;
+    the winner is rebuilt with one such solve and scored as a loop would.
+    """
+    diff = _mean_difference(stats1, stats2)
+    moments = np.full((4, s1.shape[0]), np.nan)
+    fallback = np.ones(s1.shape[0], dtype=bool)
+    e, u = np.linalg.eigh(stats2.cov)
+    if e.min() > _SINGULAR_RTOL * e.max():
+        white = u / np.sqrt(e)
+        lam, v = np.linalg.eigh(white.T @ stats1.cov @ white)
+        t = white @ v
+        eig = np.outer(s1, lam) + s2[:, None]  # blend eigenvalues, whitened
+        fallback = np.abs(eig).min(1) <= _SINGULAR_RTOL * np.abs(eig).max(1)
+        x = (t.T @ diff) / eig[~fallback]
+        moments[:, ~fallback] = (x @ (t.T @ stats1.mean),
+                                 x @ (t.T @ stats2.mean),
+                                 (x * x) @ lam, np.sum(x * x, axis=1))
+    for i in np.flatnonzero(fallback):
+        w = solve_symmetric(s1[i] * stats1.cov + s2[i] * stats2.cov, diff)
+        with suppress(DegenerateProjection):  # zero or non-finite w too
+            pre = project_stats(LinearDiscriminant(w, 0.0), stats1, stats2)
+            moments[:, i] = pre.mu1, pre.mu2, pre.var1, pre.var2
+    mu1, mu2, var1, var2 = moments
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w0 = np.array(thresholds(s1, s2, mu1, mu2, var1, var2))
+        pe = (priors.pi1 * _q((mu1 - w0) / np.sqrt(var1))
+              + priors.pi2 * _q((w0 - mu2) / np.sqrt(var2)))
+    usable = (np.isfinite(w0 + var1 + var2)
+              & (np.minimum(var1, var2) > _MIN_PROJECTED_VARIANCE))
+    if not np.any(usable):
+        raise DegenerateProjection("no blend candidate produced a usable rule")
+    i = int(np.argmin(np.where(usable, pe, np.inf).min(axis=0)))
+    w = solve_symmetric(s1[i] * stats1.cov + s2[i] * stats2.cov, diff)
+    pre = project_stats(LinearDiscriminant(w, 0.0), stats1, stats2)
+    scored = [_evaluate(w, cut, stats1, stats2, priors) for cut in
+              thresholds(s1[i], s2[i], pre.mu1, pre.mu2, pre.var1, pre.var2)]
+    return (*min(scored, key=lambda rule: rule[1]), *map(float, reported[i]))
+
+
+def _weighted_threshold(s1, s2, mu1, mu2, var1, var2):
+    return ((s1 * mu2 * var1 + s2 * mu1 * var2) / (s1 * var1 + s2 * var2),)
+
+
+def _three_thresholds(s1, s2, mu1, mu2, var1, var2):
+    c_one, c_two = mu1 - s1 * var1, mu2 + s2 * var2
+    return c_one, c_two, 0.5 * (c_one + c_two)
 
 
 def train_chld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
@@ -90,36 +149,17 @@ def train_chld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
     """Grid search of the constrained blend family.
 
     For s on the grid {0, step, 2 step, ..., 1}, the direction solves
-    [s C1 + (1-s) C2] w = mean1 - mean2 and the threshold is the
-    variance-weighted mean
-    [s mu2 var1 + (1-s) mu1 var2] / [s var1 + (1-s) var2].
+    [s C1 + (1-s) C2] w = mean1 - mean2 and the threshold is the variance-
+    weighted mean [s mu2 var1 + (1-s) mu1 var2] / [s var1 + (1-s) var2].
     Ties keep the smaller s. Returns (rule, error, best s).
     """
     cfg = config or SweepConfig()
-    diff = _mean_difference(stats1, stats2)
     count = int(math.floor(1.0 / cfg.step + 1e-9))
-    grid = [min(i * cfg.step, 1.0) for i in range(count + 1)]
-    if grid[-1] < 1.0 - 1e-12:
-        grid.append(1.0)
-    best: tuple[LinearDiscriminant, float, float] | None = None
-    for s in grid:
-        w = _direction(s * stats1.cov + (1.0 - s) * stats2.cov, diff)
-        if w is None:
-            continue
-        try:
-            pre = project_stats(LinearDiscriminant(w, 0.0), stats1, stats2)
-        except DegenerateProjection:
-            continue
-        w0 = ((s * pre.mu2 * pre.var1 + (1.0 - s) * pre.mu1 * pre.var2)
-              / (s * pre.var1 + (1.0 - s) * pre.var2))
-        if not math.isfinite(w0):
-            continue
-        disc, pe = _evaluate(w, w0, stats1, stats2, priors)
-        if best is None or pe < best[1]:
-            best = (disc, pe, s)
-    if best is None:
-        raise DegenerateProjection("no grid candidate produced a usable rule")
-    return best
+    s = np.minimum(np.arange(count + 1) * cfg.step, 1.0)
+    if s[-1] < 1.0 - 1e-12:
+        s = np.append(s, 1.0)
+    return _blend_search(stats1, stats2, priors, s, 1.0 - s,
+                         _weighted_threshold, s[:, None])
 
 
 def train_rhld1(stats1: ClassStats, stats2: ClassStats, priors: Priors,
@@ -134,31 +174,9 @@ def train_rhld1(stats1: ClassStats, stats2: ClassStats, priors: Priors,
     earliest draw. Returns (rule, error, best s).
     """
     cfg = config or SweepConfig()
-    diff = _mean_difference(stats1, stats2)
-    rng = np.random.default_rng(cfg.seed)
-    draws = rng.uniform(cfg.s_range[0], cfg.s_range[1], cfg.trials)
-    best: tuple[LinearDiscriminant, float, float] | None = None
-    for s in draws:
-        s = float(s)
-        w = _direction(s * stats2.cov + (1.0 - s) * stats1.cov, diff)
-        if w is None:
-            continue
-        try:
-            pre = project_stats(LinearDiscriminant(w, 0.0), stats1, stats2)
-        except DegenerateProjection:
-            continue
-        denom = (1.0 - s) * pre.var1 + s * pre.var2
-        if denom == 0.0:
-            continue
-        w0 = ((1.0 - s) * pre.mu2 * pre.var1 + s * pre.mu1 * pre.var2) / denom
-        if not math.isfinite(w0):
-            continue
-        disc, pe = _evaluate(w, w0, stats1, stats2, priors)
-        if best is None or pe < best[1]:
-            best = (disc, pe, s)
-    if best is None:
-        raise DegenerateProjection("no random candidate produced a usable rule")
-    return best
+    s = np.random.default_rng(cfg.seed).uniform(*cfg.s_range, cfg.trials)
+    return _blend_search(stats1, stats2, priors, 1.0 - s, s,
+                         _weighted_threshold, s[:, None])
 
 
 def train_rhld2(stats1: ClassStats, stats2: ClassStats, priors: Priors,
@@ -166,33 +184,14 @@ def train_rhld2(stats1: ClassStats, stats2: ClassStats, priors: Priors,
                 ) -> tuple[LinearDiscriminant, float, float, float]:
     """Random search of the two-parameter blend family.
 
-    Draws (s1, s2) uniformly from s_range^2, solves
-    [s1 C1 + s2 C2] w = mean1 - mean2, and tries three thresholds: the two
-    closed-form candidates mu1 - s1 var1 and mu2 + s2 var2 plus their
-    midpoint, keeping whichever has the smallest model error. (For an
-    exact blend solve the two candidates coincide; they differ only under
-    the least-squares fallback.) Returns (rule, error, best s1, best s2).
+    Draws (s1, s2) uniformly from s_range^2, solves [s1 C1 + s2 C2] w =
+    mean1 - mean2, and keeps the best of three thresholds: mu1 - s1 var1,
+    mu2 + s2 var2 and their midpoint. (For an exact blend solve the first
+    two coincide; they differ only under the least-squares fallback.)
+    Returns (rule, error, best s1, best s2).
     """
     cfg = config or SweepConfig()
-    diff = _mean_difference(stats1, stats2)
-    rng = np.random.default_rng(cfg.seed)
-    draws = rng.uniform(cfg.s_range[0], cfg.s_range[1], (cfg.trials, 2))
-    best = None
-    for s1, s2 in draws:
-        s1, s2 = float(s1), float(s2)
-        w = _direction(s1 * stats1.cov + s2 * stats2.cov, diff)
-        if w is None:
-            continue
-        try:
-            pre = project_stats(LinearDiscriminant(w, 0.0), stats1, stats2)
-        except DegenerateProjection:
-            continue
-        c_one = pre.mu1 - s1 * pre.var1
-        c_two = pre.mu2 + s2 * pre.var2
-        for w0 in (c_one, c_two, 0.5 * (c_one + c_two)):
-            disc, pe = _evaluate(w, w0, stats1, stats2, priors)
-            if best is None or pe < best[1]:
-                best = (disc, pe, s1, s2)
-    if best is None:
-        raise DegenerateProjection("no random candidate produced a usable rule")
-    return best
+    draws = np.random.default_rng(cfg.seed).uniform(*cfg.s_range,
+                                                    (cfg.trials, 2))
+    return _blend_search(stats1, stats2, priors, draws[:, 0], draws[:, 1],
+                         _three_thresholds, draws)

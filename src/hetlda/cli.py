@@ -28,6 +28,17 @@ __all__ = ["main"]
 _GENERATORS = {"d1": generate_d1, "d2": generate_d2}
 
 
+class _UsageError(Exception):
+    """A flag value that the configuration built from it rejects."""
+
+
+def _config(kind, **fields):
+    try:
+        return kind(**fields)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _add_trainer_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("trainer options")
     group.add_argument("--max-iters", type=int, default=20,
@@ -50,12 +61,12 @@ def _add_trainer_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _trainer_configs(args) -> tuple[GldConfig, SweepConfig, LnsConfig]:
-    gld = GldConfig(max_iters=args.max_iters, grad_tol=args.grad_tol)
-    sweep = SweepConfig(step=args.step, trials=args.search_trials,
-                        s_range=(args.s_min, args.s_max), seed=args.seed)
-    lns = LnsConfig(max_iters=args.lns_iters,
-                    early_stop=args.lns_early_stop,
-                    perturb_fraction=args.perturb_fraction, seed=args.seed)
+    gld = _config(GldConfig, max_iters=args.max_iters, grad_tol=args.grad_tol)
+    sweep = _config(SweepConfig, step=args.step, trials=args.search_trials,
+                    s_range=(args.s_min, args.s_max), seed=args.seed)
+    lns = _config(LnsConfig, max_iters=args.lns_iters,
+                  early_stop=args.lns_early_stop,
+                  perturb_fraction=args.perturb_fraction, seed=args.seed)
     return gld, sweep, lns
 
 
@@ -72,6 +83,8 @@ def _method_list(text: str) -> list[str]:
 
 
 def cmd_generate(args) -> int:
+    if args.seed < 0:
+        raise _UsageError("seed must be non-negative")
     data = _GENERATORS[args.dataset](args.seed)
     save_csv(data, args.out)
     counts = [int(data.class_indices(k).size) for k in range(data.n_classes)]
@@ -81,9 +94,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    gld, sweep, lns = _trainer_configs(args)
     data = load_csv(args.data, has_header=args.header,
                     label_column=args.label_col)
-    gld, sweep, lns = _trainer_configs(args)
     trainer = make_trainer(args.method, gld_config=gld, sweep_config=sweep,
                            lns_config=lns)
     start = time.perf_counter()
@@ -139,16 +152,17 @@ def cmd_predict(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    gld, sweep, lns = _trainer_configs(args)
+    plan = _config(CvPlan, folds=args.folds, trials=args.cv_trials,
+                   seed=args.seed)
     if args.data in _GENERATORS:
         data = _GENERATORS[args.data](args.seed)
     else:
         data = load_csv(args.data, has_header=args.header,
                         label_column=args.label_col)
-    gld, sweep, lns = _trainer_configs(args)
     methods = [(name, make_trainer(name, gld_config=gld, sweep_config=sweep,
                                    lns_config=lns))
                for name in args.methods]
-    plan = CvPlan(folds=args.folds, trials=args.cv_trials, seed=args.seed)
     report = run_benchmark(data, methods, plan,
                            standardize=args.standardize)
     text = report.to_csv() if args.format == "csv" else report.to_text()
@@ -235,12 +249,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (HetldaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (HetldaError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

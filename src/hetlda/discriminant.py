@@ -5,7 +5,7 @@ per-class Gaussian models the projected statistics (mu_k, sigma_k^2) and
 standardized margins z_k = (w0 - mu_k)/sigma_k determine the model
 misclassification probability
 
-    p_e = pi_1 (1 - Q(z_1)) + pi_2 Q(z_2)
+    p_e = pi_1 Q(-z_1) + pi_2 Q(z_2)
 
 and its gradient in (w, w0), both implemented here.
 """
@@ -212,8 +212,12 @@ def project_stats(disc: LinearDiscriminant, stats1: ClassStats,
 
 
 def bayes_error(proj: ProjectedStats, priors: Priors) -> float:
-    """Model misclassification probability of the rule behind proj."""
-    return (priors.pi1 * (1.0 - q_function(proj.z1))
+    """Model misclassification probability of the rule behind proj.
+
+    Class 1 errs below the threshold with probability Q(-z1), taken
+    directly rather than as 1 - Q(z1), which cancels in the tail.
+    """
+    return (priors.pi1 * q_function(-proj.z1)
             + priors.pi2 * q_function(proj.z2))
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -70,6 +71,15 @@ def load_model(path: str) -> tuple[OvoModel, str, dict]:
             for entry in document["pairs"])
         model = OvoModel(pairs, document["n_classes"],
                          tuple(names) if names else None)
-        return model, document["method"], document.get("metadata", {})
+        method, metadata = document["method"], document.get("metadata", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model file: {exc}") from None
+    for _a, _b, disc, p_e in pairs:
+        if not (np.all(np.isfinite(disc.w)) and math.isfinite(disc.w0)
+                and math.isfinite(p_e)):
+            raise ParseError("malformed model file: non-finite weight, "
+                             "threshold or error")
+    if len({disc.w.shape for _a, _b, disc, _p_e in pairs}) > 1:
+        raise ParseError("malformed model file: pairs have weight vectors "
+                         "of different lengths")
+    return model, method, metadata

@@ -5,10 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hetlda.baselines
-from hetlda import (ClassStats, Priors, SweepConfig, ZeroDirection,
+from hetlda import (ClassStats, DegenerateProjection, LinearDiscriminant,
+                    Priors, SweepConfig, ZeroDirection, bayes_error,
                     d1_population, d2_population, decision_values,
-                    train_chld, train_gld, train_lda, train_rhld1,
-                    train_rhld2)
+                    project_stats, solve_symmetric, train_chld, train_gld,
+                    train_lda, train_rhld1, train_rhld2)
 
 Q_AT_1 = 0.15865525393145707
 
@@ -88,16 +89,26 @@ class TestTrainChld:
         assert abs(pe - pe_lda) <= 1e-10
 
     def test_grid_size_and_tie_policy(self, monkeypatch):
-        calls = []
+        grids = []
+        search = hetlda.baselines._blend_search
+
+        def recording(stats1, stats2, priors, s1, s2, *rest):
+            grids.append((list(s1), list(s2)))
+            return search(stats1, stats2, priors, s1, s2, *rest)
+
+        # every candidate scores the same, in the screen and in the end
+        monkeypatch.setattr(hetlda.baselines, "_blend_search", recording)
+        monkeypatch.setattr(hetlda.baselines, "_q",
+                            lambda z: np.full(np.shape(z), 0.3))
         monkeypatch.setattr(hetlda.baselines, "bayes_error",
-                            lambda proj, priors: calls.append(1) or 0.3)
+                            lambda proj, priors: 0.3)
         s1, s2, priors = balanced([1.0], [[1.0]], [-1.0], [[4.0]])
         _, pe, best_s = train_chld(s1, s2, priors, SweepConfig(step=0.5))
-        assert len(calls) == 3            # s in {0, 0.5, 1}
+        assert grids[0] == ([0.0, 0.5, 1.0], [1.0, 0.5, 0.0])
         assert best_s == 0.0 and pe == 0.3   # all tied: smallest s kept
-        calls.clear()
         train_chld(s1, s2, priors, SweepConfig(step=0.3))
-        assert len(calls) == 5            # s in {0, 0.3, 0.6, 0.9, 1}
+        assert grids[1][0] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0],
+                                            abs=1e-12)
 
     def test_matches_fixed_point_on_d2(self):
         s1, s2, priors = d2_population()
@@ -205,3 +216,124 @@ class TestCommonGuarantees:
                 assert np.linalg.norm(disc.w) > 0
                 assert math.isfinite(disc.w0)
                 assert 0.0 <= pe <= 0.5 + 1e-12
+
+
+def reference_search(method, stats1, stats2, priors, cfg):
+    """The per-candidate loop the blend engine replaced: one solve per
+    candidate in the method's own convention, then project, threshold
+    and evaluate; ties keep the first candidate and threshold."""
+    c1, c2 = stats1.cov, stats2.cov
+    rng = np.random.default_rng(cfg.seed)
+    if method == "chld":
+        count = int(math.floor(1.0 / cfg.step + 1e-9))
+        grid = [min(i * cfg.step, 1.0) for i in range(count + 1)]
+        if grid[-1] < 1.0 - 1e-12:
+            grid.append(1.0)
+        candidates = [((s,), s * c1 + (1.0 - s) * c2) for s in grid]
+    elif method == "rhld1":
+        draws = rng.uniform(cfg.s_range[0], cfg.s_range[1], cfg.trials)
+        candidates = [((s,), s * c2 + (1.0 - s) * c1) for s in draws.tolist()]
+    else:
+        draws = rng.uniform(cfg.s_range[0], cfg.s_range[1], (cfg.trials, 2))
+        candidates = [((a, b), a * c1 + b * c2) for a, b in draws.tolist()]
+
+    def thresholds(params, pre):
+        if method == "chld":
+            s, = params
+            return [(s * pre.mu2 * pre.var1 + (1.0 - s) * pre.mu1 * pre.var2)
+                    / (s * pre.var1 + (1.0 - s) * pre.var2)]
+        if method == "rhld1":
+            s, = params
+            denom = (1.0 - s) * pre.var1 + s * pre.var2
+            if denom == 0.0:
+                return []
+            return [((1.0 - s) * pre.mu2 * pre.var1 + s * pre.mu1 * pre.var2)
+                    / denom]
+        c_one = pre.mu1 - params[0] * pre.var1
+        c_two = pre.mu2 + params[1] * pre.var2
+        return [c_one, c_two, 0.5 * (c_one + c_two)]
+
+    best = None
+    for params, blend in candidates:
+        w = solve_symmetric(blend, stats1.mean - stats2.mean)
+        if not np.any(w) or not np.all(np.isfinite(w)):
+            continue
+        try:
+            pre = project_stats(LinearDiscriminant(w, 0.0), stats1, stats2)
+        except DegenerateProjection:
+            continue
+        for w0 in thresholds(params, pre):
+            if not math.isfinite(w0):
+                continue
+            disc = LinearDiscriminant(w, w0)
+            pe = bayes_error(project_stats(disc, stats1, stats2), priors)
+            if best is None or pe < best[1]:
+                best = (disc, pe, *params)
+    return best
+
+
+TRAINERS = {"chld": train_chld, "rhld1": train_rhld1, "rhld2": train_rhld2}
+
+
+class TestBlendEngine:
+    def assert_matches_loop(self, stats1, stats2, priors, cfg,
+                            methods=TRAINERS):
+        for method in methods:
+            disc, pe, *params = TRAINERS[method](stats1, stats2, priors, cfg)
+            ref = reference_search(method, stats1, stats2, priors, cfg)
+            assert params == list(ref[2:]), method
+            assert abs(pe - ref[1]) <= 1e-12, method
+            # ref[0].w is solve_symmetric on the winning blend
+            assert np.array_equal(disc.w, ref[0].w) and disc.w0 == ref[0].w0
+
+    def count_solves(self, monkeypatch):
+        calls = []
+        solve = hetlda.baselines.solve_symmetric
+        monkeypatch.setattr(hetlda.baselines, "solve_symmetric",
+                            lambda a, b: calls.append(1) or solve(a, b))
+        return calls
+
+    def test_matches_loop_on_random_stats(self):
+        rng = np.random.default_rng(17)
+        for d in range(1, 6):
+            for seed in range(3):
+                cfg = SweepConfig(step=0.01, trials=300, seed=seed)
+                self.assert_matches_loop(*random_stats(rng, d), cfg)
+
+    def test_matches_loop_on_reference_populations(self):
+        for stats in (d1_population(), d2_population()):
+            self.assert_matches_loop(*stats, SweepConfig())
+
+    def test_one_solve_per_search(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        for method, trainer in TRAINERS.items():
+            calls.clear()
+            trainer(*d1_population())
+            assert len(calls) == 1, method
+
+    def test_singular_class2_covariance_solves_every_candidate(
+            self, monkeypatch):
+        rng = np.random.default_rng(23)
+        root = rng.standard_normal((3, 3))
+        v = rng.standard_normal(3)
+        s1, s2, priors = balanced(rng.normal(0, 2, 3),
+                                  root @ root.T + np.eye(3),
+                                  rng.normal(0, 2, 3), np.outer(v, v))
+        cfg = SweepConfig(step=0.05, trials=40, seed=3)
+        self.assert_matches_loop(s1, s2, priors, cfg)
+        calls = self.count_solves(monkeypatch)
+        train_rhld2(s1, s2, priors, cfg)
+        assert len(calls) == cfg.trials + 1
+
+    def test_pinned_draw_at_singular_blend_takes_least_squares(
+            self, monkeypatch):
+        # C1 v = 2 C2 v for v = e1, so s C2 + (1-s) C1 is singular at
+        # s = 2 / (2 - 1); the least-squares solve drops that direction.
+        s1, s2, priors = balanced([1.0, 1.0], np.diag([2.0, 1.0]),
+                                  [0.0, 0.0], np.eye(2))
+        cfg = SweepConfig(trials=1, s_range=(2.0, 2.0))
+        calls = self.count_solves(monkeypatch)
+        disc, _, best_s = train_rhld1(s1, s2, priors, cfg)
+        assert best_s == 2.0 and len(calls) == 2
+        assert disc.w[0] == 0.0 and disc.w[1] != 0.0
+        self.assert_matches_loop(s1, s2, priors, cfg, methods=["rhld1"])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,18 @@ class TestPredict:
                          "--out", str(tmp_path / "p.txt"))
         assert code == 1
 
+    def test_non_finite_model_weight_exits_one(self, tmp_path, capsys):
+        _, model_path = self.fitted(tmp_path, capsys, method="lda")
+        document = json.loads(open(model_path).read())
+        document["pairs"][0]["w"][0] = float("nan")
+        open(model_path, "w").write(json.dumps(document))
+        data = small_csv(tmp_path)
+        code, stdout, stderr = run(capsys, "predict", model_path, data,
+                                   "--label-col", "2",
+                                   "--out", str(tmp_path / "p.txt"))
+        assert code == 1 and "non-finite" in stderr
+        assert "predictions" not in stdout
+
 
 class TestBenchmark:
     def test_small_csv_smoke(self, tmp_path, capsys):
@@ -226,3 +240,18 @@ class TestBenchmark:
                               "--methods", "lda", "--folds", "5",
                               "--trials", "1")
         assert code == 1 and "error:" in stderr
+
+    def test_data_errors_exit_one_and_flag_errors_exit_two(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "three.csv"
+        path.write_text("0.1,0.2,0\n0.3,0.4,1\n0.5,0.1,0\n")
+        code, _, stderr = run(capsys, "benchmark", str(path),
+                              "--methods", "lda", "--folds", "5",
+                              "--trials", "1")
+        assert code == 1 and "cannot fill" in stderr
+        code, _, stderr = run(capsys, "benchmark", str(path),
+                              "--methods", "lda", "--folds", "1")
+        assert code == 2 and "folds" in stderr
+        code, _, _ = run(capsys, "generate", "d1", "--seed", "-1",
+                         "--out", str(tmp_path / "d1.csv"))
+        assert code == 2

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from hetlda import (ClassStats, DegenerateProjection, DimensionMismatch,
                     EmptyClass, LabeledDataset, LinearDiscriminant, Priors,
-                    bayes_error, classify, compute_class_stats,
+                    ProjectedStats, bayes_error, classify, compute_class_stats,
                     decision_values, generate_d1, gradient_bayes_error,
                     fisher_init, d2_population, project_stats,
                     training_error_count)
@@ -150,6 +150,19 @@ class TestBayesError:
             scaled = bayes_error(project_stats(
                 LinearDiscriminant(c * w, c * 0.4), s1, s2), priors)
             assert abs(base - scaled) <= 1e-12
+
+    def test_tail_matches_ndtr_down_to_1e_300(self):
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        priors = Priors(0.3, 0.7)
+        # class 1 errs with probability Phi(z1), class 2 with Phi(-z2)
+        for z in np.linspace(-37.0, 8.0, 451):
+            for z1, z2 in ((z, 40.0), (-40.0, -z), (z, -z)):
+                proj = ProjectedStats(0.0, 0.0, 1.0, 1.0, z1, z2)
+                expected = (priors.pi1 * ndtr(z1)
+                            + priors.pi2 * ndtr(-z2))
+                assert expected >= 1e-300
+                assert_allclose(bayes_error(proj, priors), expected,
+                                rtol=1e-12, atol=0.0)
 
 
 class TestGradient:

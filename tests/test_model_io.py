@@ -86,6 +86,29 @@ class TestFormatGuards:
         with pytest.raises(ParseError):
             load_model(path)
 
+    def test_non_finite_values_rejected(self, tmp_path):
+        model, _ = trained_model(seed=8, k=2)
+        path = str(tmp_path / "model.json")
+        save_model(path, model, "lda")
+        for key, value in (("w", [1.0, float("nan"), 0.5]),
+                           ("w0", float("inf")), ("p_e", float("nan"))):
+            document = json.loads(open(path).read())
+            document["pairs"][0][key] = value
+            broken = tmp_path / f"{key}.json"
+            broken.write_text(json.dumps(document))   # NaN, Infinity
+            with pytest.raises(ParseError):
+                load_model(str(broken))
+
+    def test_weight_lengths_must_agree(self, tmp_path):
+        model, _ = trained_model(seed=9, k=3)
+        path = str(tmp_path / "model.json")
+        save_model(path, model, "lda")
+        document = json.loads(open(path).read())
+        document["pairs"][1]["w"] = document["pairs"][1]["w"][:2]
+        open(path, "w").write(json.dumps(document))
+        with pytest.raises(ParseError, match="different lengths"):
+            load_model(path)
+
 
 class TestDatasetHash:
     def test_shape_and_stability(self):
