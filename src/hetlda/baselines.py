@@ -52,6 +52,8 @@ class SweepConfig:
         a, b = self.s_range
         if not (math.isfinite(a) and math.isfinite(b) and a <= b):
             raise ValueError("s_range must be a finite pair with a <= b")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def _mean_difference(stats1: ClassStats, stats2: ClassStats) -> np.ndarray:

@@ -66,7 +66,7 @@ def _trainer_configs(args) -> tuple[GldConfig, SweepConfig, LnsConfig]:
                     s_range=(args.s_min, args.s_max), seed=args.seed)
     lns = _config(LnsConfig, max_iters=args.lns_iters,
                   early_stop=args.lns_early_stop,
-                  perturb_fraction=args.perturb_fraction, seed=args.seed)
+                  perturb_fraction=args.perturb_fraction)
     return gld, sweep, lns
 
 

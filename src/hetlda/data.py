@@ -12,6 +12,7 @@ import csv
 import math
 import os
 import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -35,20 +36,27 @@ CSV_HEADER = ("method,bayes_error_mean,bayes_error_std,"
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
-def _read_rows(path: str, has_header: bool) -> list[list[str]]:
+def _read_rows(path: str, has_header: bool
+               ) -> tuple[list[list[str]], array]:
+    """The non-empty rows of a file and the file line each one ends on."""
+    rows = []
+    lines = array("q")
     with open(path, newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
+        reader = csv.reader(handle)
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     if has_header and rows:
-        rows = rows[1:]
+        rows, lines = rows[1:], lines[1:]
     if not rows:
         raise ParseError("no data rows")
     width = len(rows[0])
-    offset = 2 if has_header else 1
-    for i, row in enumerate(rows):
+    for line, row in zip(lines, rows):
         if len(row) != width:
             raise InconsistentWidth(
-                f"{len(row)} cells, expected {width}", row=i + offset)
-    return rows
+                f"{len(row)} cells, expected {width}", row=line)
+    return rows, lines
 
 
 def _parse_feature(cell: str, row: int, column: int) -> float:
@@ -72,7 +80,7 @@ def load_csv(path: str, has_header: bool = False,
     in order of first appearance, with the original text kept as class
     names.
     """
-    rows = _read_rows(path, has_header)
+    rows, lines = _read_rows(path, has_header)
     width = len(rows[0])
     if width < 2:
         raise ParseError(f"{width} columns; need at least one feature "
@@ -81,17 +89,16 @@ def load_csv(path: str, has_header: bool = False,
     if not 0 <= col < width:
         raise ParseError(f"label column {label_column} out of range for "
                          f"{width} columns")
-    offset = 2 if has_header else 1
 
     features = np.empty((len(rows), width - 1))
     raw_labels = []
-    for i, row in enumerate(rows):
+    for i, (line, row) in enumerate(zip(lines, rows)):
         j = 0
         for c, cell in enumerate(row):
             if c == col:
                 raw_labels.append(cell.strip())
                 continue
-            features[i, j] = _parse_feature(cell.strip(), i + offset, c + 1)
+            features[i, j] = _parse_feature(cell.strip(), line, c + 1)
             j += 1
 
     try:
@@ -112,12 +119,11 @@ def load_csv(path: str, has_header: bool = False,
 
 def load_matrix_csv(path: str, has_header: bool = False) -> np.ndarray:
     """Read a delimited file where every cell is a feature."""
-    rows = _read_rows(path, has_header)
-    offset = 2 if has_header else 1
+    rows, lines = _read_rows(path, has_header)
     out = np.empty((len(rows), len(rows[0])))
-    for i, row in enumerate(rows):
+    for i, (line, row) in enumerate(zip(lines, rows)):
         for c, cell in enumerate(row):
-            out[i, c] = _parse_feature(cell.strip(), i + offset, c + 1)
+            out[i, c] = _parse_feature(cell.strip(), line, c + 1)
     return out
 
 
@@ -193,12 +199,12 @@ def d2_population() -> tuple[ClassStats, ClassStats, Priors]:
 
 @dataclass(frozen=True)
 class CvPlan:
-    """Fold count, trial count, and shuffling seed for repeated k-fold."""
+    """Fold count, trial count, and shuffling seed for repeated
+    stratified k-fold."""
 
     folds: int = 10
     trials: int = 20
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if self.folds < 2:
@@ -213,32 +219,27 @@ def kfold_split(data: LabeledDataset, plan: CvPlan
                 ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """Per trial, a list of (train_indices, test_indices) partitions.
 
-    Trial t shuffles with seed + t. Stratified mode permutes each class
-    separately and deals its samples round-robin across folds, so fold
-    class counts differ by at most one.
+    Trial t shuffles with seed + t. Each class is permuted separately
+    and split into near-equal consecutive chunks, one per fold, so fold
+    class counts differ by at most one. Every class needs at least as
+    many samples as there are folds.
     """
     if data.n_samples < plan.folds:
         raise ValueError(f"{data.n_samples} samples cannot fill "
                          f"{plan.folds} folds")
-    if plan.stratified:
-        for label in range(data.n_classes):
-            count = data.class_indices(label).size
-            if count < plan.folds:
-                raise InfeasibleStratification(
-                    f"class {label} has {count} samples, fewer than "
-                    f"{plan.folds} folds")
+    for label in range(data.n_classes):
+        count = data.class_indices(label).size
+        if count < plan.folds:
+            raise InfeasibleStratification(
+                f"class {label} has {count} samples, fewer than "
+                f"{plan.folds} folds")
     everything = np.arange(data.n_samples)
     trials = []
     for trial in range(plan.trials):
         rng = np.random.default_rng(plan.seed + trial)
         test_folds: list[list[np.ndarray]] = [[] for _ in range(plan.folds)]
-        if plan.stratified:
-            for label in range(data.n_classes):
-                perm = rng.permutation(data.class_indices(label))
-                for f, part in enumerate(np.array_split(perm, plan.folds)):
-                    test_folds[f].append(part)
-        else:
-            perm = rng.permutation(everything)
+        for label in range(data.n_classes):
+            perm = rng.permutation(data.class_indices(label))
             for f, part in enumerate(np.array_split(perm, plan.folds)):
                 test_folds[f].append(part)
         splits = []

@@ -225,12 +225,17 @@ def gradient_bayes_error(disc: LinearDiscriminant, stats1: ClassStats,
                          stats2: ClassStats,
                          priors: Priors) -> tuple[np.ndarray, float]:
     """Exact gradient of bayes_error with respect to (w, w0)."""
-    proj = project_stats(disc, stats1, stats2)
+    return _gradient(disc.w, project_stats(disc, stats1, stats2), stats1,
+                     stats2, priors)
+
+
+def _gradient(w: np.ndarray, proj: ProjectedStats, stats1: ClassStats,
+              stats2: ClassStats, priors: Priors) -> tuple[np.ndarray, float]:
+    # gradient_bayes_error for a rule whose projection proj is already known
     s1, s2 = proj.sigma1, proj.sigma2
     z1, z2 = proj.z1, proj.z2
     phi1 = math.exp(-0.5 * z1 * z1) / _SQRT_2PI
     phi2 = math.exp(-0.5 * z2 * z2) / _SQRT_2PI
-    w = disc.w
     grad_w = (-priors.pi1 * phi1 * (s1 * stats1.mean + z1 * (stats1.cov @ w)) / proj.var1
               + priors.pi2 * phi2 * (s2 * stats2.mean + z2 * (stats2.cov @ w)) / proj.var2)
     grad_w0 = priors.pi1 * phi1 / s1 - priors.pi2 * phi2 / s2

@@ -14,12 +14,12 @@ returns the best one seen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .discriminant import (ClassStats, LinearDiscriminant, Priors,
-                           ProjectedStats, bayes_error, gradient_bayes_error,
+                           ProjectedStats, _gradient, bayes_error,
                            project_stats)
 from .errors import (ComplexRoot, DegenerateProjection, Indeterminate,
                      SingularUpdate, ZeroDirection)
@@ -32,38 +32,24 @@ __all__ = [
 ]
 
 _SECOND_ORDER_TOL = 1e-12
+# Relative gap below which two projected variances count as equal.
+_VARIANCE_EQUALITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class GldConfig:
-    """Knobs for train_gld.
-
-    The gradient test (grad_tol) and the iteration cap (max_iters) are always
-    active. The objective-change and weight-change tests participate only
-    when their tolerances are set, and fire after `patience` consecutive
-    qualifying iterations.
-    """
+    """Stopping rules for train_gld: the loop ends when the gradient norm
+    of the model error falls to grad_tol, or after max_iters direction
+    updates."""
 
     max_iters: int = 20
     grad_tol: float = 1e-6
-    objective_tol: float | None = None
-    weight_tol: float | None = None
-    patience: int = 3
-    variance_equality_tol: float = 1e-12
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
-        for name in ("objective_tol", "weight_tol"):
-            v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise ValueError(f"{name} must be positive when set")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
-        if not self.variance_equality_tol > 0:
-            raise ValueError("variance_equality_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -127,16 +113,16 @@ def threshold_roots(mu1: float, mu2: float, var1: float, var2: float,
 
 
 def solve_threshold(mu1: float, mu2: float, var1: float, var2: float,
-                    tau: float, variance_equality_tol: float = 1e-12) -> float:
+                    tau: float) -> float:
     """Threshold minimizing the model error along a fixed direction.
 
     Heteroscedastic case: the '+sqrt' stationary root. Variances equal to
-    within variance_equality_tol (relative): the single stationary point
+    within a relative 1e-12: the single stationary point
     (mu1+mu2)/2 + var ln(tau)/(mu1-mu2), or the plain midpoint when the
     projected means coincide as well.
     """
     _validate_inputs(mu1, mu2, var1, var2, tau)
-    if abs(var1 - var2) <= variance_equality_tol * max(var1, var2):
+    if abs(var1 - var2) <= _VARIANCE_EQUALITY_TOL * max(var1, var2):
         if mu1 == mu2:
             return 0.5 * (mu1 + mu2)
         var = 0.5 * (var1 + var2)
@@ -183,12 +169,6 @@ def recover_s(proj: ProjectedStats) -> float:
     return -proj.sigma2 * proj.z1 / denom
 
 
-def _project_direction(w: np.ndarray, stats1: ClassStats,
-                       stats2: ClassStats) -> ProjectedStats:
-    # threshold-independent pass; z slots are placeholders
-    return project_stats(LinearDiscriminant(w, 0.0), stats1, stats2)
-
-
 def train_gld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
               config: GldConfig | None = None
               ) -> tuple[LinearDiscriminant, float, GldTrace]:
@@ -196,78 +176,54 @@ def train_gld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
 
     Starts from the Fisher direction, records every iterate (at most
     max_iters+1 of them), and returns the iterate with the smallest model
-    error together with the full trace. A ComplexRoot or
-    DegenerateProjection after the first iterate ends the loop and the best
-    recorded iterate is still returned, with the cause in converged_by.
+    error together with the full trace. converged_by names what ended the
+    loop: "gradient" (the gradient norm fell to grad_tol), "max_iters",
+    "singular_update" (the direction refresh failed), "complex_root" (no
+    real threshold) or "degenerate_projection" (a projected variance
+    vanished). The best recorded iterate is returned in every case. A
+    complex root on the first iterate still records one rule, with the
+    equal-variance threshold at the prior-weighted variance; a degenerate
+    projection on the first iterate raises.
     """
     cfg = config or GldConfig()
     w = fisher_init(stats1, stats2)
     records: list[GldIterate] = []
     converged_by = "max_iters"
-    prev_pe: float | None = None
-    prev_w: np.ndarray | None = None
-    objective_streak = 0
-    weight_streak = 0
 
     for iteration in range(cfg.max_iters + 1):
         try:
-            pre = _project_direction(w, stats1, stats2)
+            pre = project_stats(LinearDiscriminant(w, 0.0), stats1, stats2)
             w0 = solve_threshold(pre.mu1, pre.mu2, pre.var1, pre.var2,
-                                 priors.tau, cfg.variance_equality_tol)
+                                 priors.tau)
         except ComplexRoot:
-            if records:
-                converged_by = "complex_root"
-                break
-            # no usable iterate yet: fall back to the equal-variance form
-            # with the prior-weighted variance so the trainer stays total
-            pre = _project_direction(w, stats1, stats2)
-            var = priors.pi1 * pre.var1 + priors.pi2 * pre.var2
-            if pre.mu1 == pre.mu2:
-                w0 = 0.5 * (pre.mu1 + pre.mu2)
-            else:
-                w0 = (0.5 * (pre.mu1 + pre.mu2)
-                      + var * math.log(priors.tau) / (pre.mu1 - pre.mu2))
-            disc = LinearDiscriminant(w, w0)
-            proj = project_stats(disc, stats1, stats2)
-            pe = bayes_error(proj, priors)
-            gw, g0 = gradient_bayes_error(disc, stats1, stats2, priors)
-            gnorm = math.hypot(float(np.linalg.norm(gw)), g0)
-            records.append(GldIterate(w.copy(), w0, pe, gnorm))
             converged_by = "complex_root"
-            break
+            if records:
+                break
+            # no usable iterate yet: take the equal-variance threshold at
+            # the prior-weighted variance and stop after recording it
+            var = priors.pi1 * pre.var1 + priors.pi2 * pre.var2
+            w0 = solve_threshold(pre.mu1, pre.mu2, var, var, priors.tau)
         except DegenerateProjection:
             if records:
                 converged_by = "degenerate_projection"
                 break
             raise
 
-        disc = LinearDiscriminant(w, w0)
-        proj = project_stats(disc, stats1, stats2)
+        proj = replace(pre, z1=(w0 - pre.mu1) / pre.sigma1,
+                       z2=(w0 - pre.mu2) / pre.sigma2)
         pe = bayes_error(proj, priors)
-        gw, g0 = gradient_bayes_error(disc, stats1, stats2, priors)
+        gw, g0 = _gradient(w, proj, stats1, stats2, priors)
         gnorm = math.hypot(float(np.linalg.norm(gw)), g0)
         records.append(GldIterate(w.copy(), w0, pe, gnorm))
 
+        if converged_by == "complex_root":
+            break
         if gnorm <= cfg.grad_tol:
             converged_by = "gradient"
             break
-        if cfg.objective_tol is not None and prev_pe is not None:
-            objective_streak = (objective_streak + 1
-                                if abs(pe - prev_pe) <= cfg.objective_tol else 0)
-            if objective_streak >= cfg.patience:
-                converged_by = "objective"
-                break
-        if cfg.weight_tol is not None and prev_w is not None:
-            moved = float(np.linalg.norm(w - prev_w))
-            weight_streak = weight_streak + 1 if moved <= cfg.weight_tol else 0
-            if weight_streak >= cfg.patience:
-                converged_by = "weight"
-                break
         if iteration == cfg.max_iters:
             converged_by = "max_iters"
             break
-
-        prev_pe, prev_w = pe, w
         try:
             w = update_weights(stats1, stats2, proj)
         except SingularUpdate:

@@ -29,17 +29,14 @@ class LnsConfig:
     consecutive sweeps without improvement of the best-found count after
     which the search gives up. Each component is perturbed by
     perturb_fraction of its absolute value; a component sitting exactly
-    at zero would never move under that rule, so it gets the absolute
-    zero_component_step instead (None: 1e-3 times the largest component
-    magnitude of the current solution). seed is reserved; the core is
-    deterministic.
+    at zero would never move under that rule, so it gets an absolute step
+    of 1e-3 times the largest component magnitude of the current solution
+    instead. The search is deterministic.
     """
 
     max_iters: int = 1000
     early_stop: int = 100
     perturb_fraction: float = 0.1
-    zero_component_step: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -48,11 +45,6 @@ class LnsConfig:
             raise ValueError("early_stop must be in [1, max_iters]")
         if not 0.0 < self.perturb_fraction < 1.0:
             raise ValueError("perturb_fraction must be in (0, 1)")
-        if self.zero_component_step is not None \
-                and not self.zero_component_step > 0:
-            raise ValueError("zero_component_step must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 def local_neighbourhood_search(
@@ -101,12 +93,9 @@ def local_neighbourhood_search(
     stall = 0
 
     for sweep in range(cfg.max_iters):
-        if cfg.zero_component_step is not None:
-            zero_step = cfg.zero_component_step
-        else:
-            scale = float(np.max(np.abs(current)))
-            zero_step = _ZERO_STEP_FRACTION * scale if scale > 0 \
-                else _ZERO_STEP_FRACTION
+        scale = float(np.max(np.abs(current)))
+        zero_step = _ZERO_STEP_FRACTION * scale if scale > 0 \
+            else _ZERO_STEP_FRACTION
         sweep_best = None
         sweep_count = None
         for i in range(current.shape[0]):

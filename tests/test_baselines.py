@@ -46,6 +46,10 @@ class TestSweepConfig:
     def test_degenerate_range_allowed(self):
         assert SweepConfig(s_range=(0.5, 0.5)).s_range == (0.5, 0.5)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            SweepConfig(seed=-1)
+
 
 class TestTrainLda:
     def test_symmetric_homoscedastic(self):

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from hetlda import CSV_HEADER, LabeledDataset, load_model, save_csv
+from hetlda import (CSV_HEADER, CvPlan, GldConfig, LabeledDataset, LnsConfig,
+                    SweepConfig, cli, load_model, save_csv)
 from hetlda.cli import main
 
 
@@ -111,6 +113,13 @@ class TestTrain:
                               "--label-col", "2", "--step", "0",
                               "--out", str(tmp_path / "m.json"))
         assert code == 2 and "error:" in stderr
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        data = small_csv(tmp_path)
+        code, _, stderr = run(capsys, "train", "rhld1", data,
+                              "--label-col", "2", "--seed", "-1",
+                              "--out", str(tmp_path / "m.json"))
+        assert code == 2 and "seed" in stderr
 
     def test_missing_data_file_exits_one(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "train", "gld",
@@ -226,6 +235,22 @@ class TestBenchmark:
         rows = {line.split(",")[0]: line.split(",")
                 for line in open(out).read().splitlines()[1:]}
         assert float(rows["gld"][1]) <= float(rows["lda"][1])
+
+    def test_every_config_field_has_a_flag(self, monkeypatch, capsys):
+        given = {}
+        build = cli._config
+
+        def recording(kind, **fields):
+            given[kind] = set(fields)
+            return build(kind, **fields)
+
+        monkeypatch.setattr(cli, "_config", recording)
+        code, _, _ = run(capsys, "benchmark", "d2", "--methods", "lda",
+                         "--folds", "2", "--trials", "1")
+        assert code == 0
+        assert set(given) == {GldConfig, SweepConfig, LnsConfig, CvPlan}
+        for kind, names in given.items():
+            assert names == {f.name for f in dataclasses.fields(kind)}, kind
 
     def test_unknown_method_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -55,6 +55,18 @@ class TestLoadCsv:
             load_csv(path, has_header=True)
         assert info.value.row == 2 and info.value.column == 2
 
+    def test_locations_count_blank_lines(self, tmp_path):
+        path = write(tmp_path, "1.0,2.0,0\n\n3.0,x,1\n")
+        for load in (load_csv, load_matrix_csv):
+            with pytest.raises(ParseError) as info:
+                load(path)
+            assert info.value.row == 3 and info.value.column == 2
+        path = write(tmp_path, "a,b,label\n\n1.0,2.0,0\n\n3.0,1\n")
+        for load in (load_csv, load_matrix_csv):
+            with pytest.raises(InconsistentWidth) as info:
+                load(path, has_header=True)
+            assert info.value.row == 5
+
     def test_ragged_rows(self, tmp_path):
         path = write(tmp_path, "1.0,2.0,0\n3.0,1\n")
         with pytest.raises(InconsistentWidth) as info:
@@ -172,14 +184,6 @@ class TestCvPlan:
 
 
 class TestKfoldSplit:
-    def test_singleton_folds(self):
-        data = LabeledDataset(np.arange(10.0)[:, None],
-                              np.repeat([0, 1], 5))
-        plan = CvPlan(folds=10, trials=1, stratified=False)
-        splits = kfold_split(data, plan)[0]
-        assert len(splits) == 10
-        assert all(test.size == 1 for _train, test in splits)
-
     def test_partition_properties(self):
         data = two_blob_data(n=57 * 2)
         plan = CvPlan(folds=7, trials=3, seed=4)
@@ -208,7 +212,7 @@ class TestKfoldSplit:
     def test_too_few_samples(self):
         data = LabeledDataset(np.arange(4.0)[:, None], np.array([0, 0, 1, 1]))
         with pytest.raises(ValueError):
-            kfold_split(data, CvPlan(folds=5, trials=1, stratified=False))
+            kfold_split(data, CvPlan(folds=5, trials=1))
 
     def test_deterministic_given_plan(self):
         data = two_blob_data()

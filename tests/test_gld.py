@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import hetlda.discriminant
+import hetlda.gld
 from hetlda import (ClassStats, ComplexRoot, GldConfig, Indeterminate,
                     LinearDiscriminant, Priors, ProjectedStats, ZeroDirection,
                     bayes_error, d1_population, d2_population, fisher_init,
@@ -33,6 +35,13 @@ def random_stats(rng, d):
     return (ClassStats(rng.normal(0, 2, d), spd(), n1, n1 / n),
             ClassStats(rng.normal(0, 2, d), spd(), n2, n2 / n),
             Priors(n1 / n, n2 / n))
+
+
+def complex_root_stats():
+    # no real stationary threshold along the Fisher direction
+    s1 = ClassStats(np.array([0.01]), np.array([[1.0]]), 100, 100 / 1100)
+    s2 = ClassStats(np.array([0.0]), np.array([[4.0]]), 1000, 1000 / 1100)
+    return s1, s2, Priors(100 / 1100, 1000 / 1100)
 
 
 class TestSolveThreshold:
@@ -241,26 +250,43 @@ class TestTrainGld:
         assert trace.converged_by == "gradient"
         assert trace.records[-1].grad_norm <= 1e-6
 
-    def test_objective_and_weight_stopping(self):
-        s1, s2, priors = d1_population()
-        _, _, trace = train_gld(s1, s2, priors, GldConfig(
-            grad_tol=1e-300, objective_tol=10.0, patience=1))
-        assert trace.converged_by == "objective"
-        _, _, trace = train_gld(s1, s2, priors, GldConfig(
-            grad_tol=1e-300, weight_tol=1e9, patience=1))
-        assert trace.converged_by == "weight"
-
     def test_complex_root_fallback_on_first_iterate(self):
         # Nearly coincident means with a much wider, much likelier second
         # class: the stationary threshold equation has no real solution,
         # so training degrades to the prior-weighted equal-variance rule.
-        s1 = ClassStats(np.array([0.01]), np.array([[1.0]]), 100, 100 / 1100)
-        s2 = ClassStats(np.array([0.0]), np.array([[4.0]]), 1000, 1000 / 1100)
-        priors = Priors(100 / 1100, 1000 / 1100)
+        s1, s2, priors = complex_root_stats()
         disc, pe, trace = train_gld(s1, s2, priors)
         assert trace.converged_by == "complex_root"
         assert len(trace.records) == 1
         assert math.isfinite(disc.w0) and 0.0 <= pe <= 1.0
+
+    def test_records_match_a_fresh_projection(self):
+        rng = np.random.default_rng(71)
+        problems = [d1_population(), d2_population(), complex_root_stats()]
+        problems += [random_stats(rng, d) for d in (1, 2, 3, 4, 5)]
+        for s1, s2, priors in problems:
+            _, _, trace = train_gld(s1, s2, priors)
+            for r in trace.records:
+                disc = LinearDiscriminant(r.w, r.w0)
+                assert r.p_e == bayes_error(project_stats(disc, s1, s2),
+                                            priors)
+                grad_w, grad_w0 = gradient_bayes_error(disc, s1, s2, priors)
+                assert r.grad_norm == math.hypot(
+                    float(np.linalg.norm(grad_w)), grad_w0)
+
+    def test_one_projection_per_pass(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return project_stats(*args)
+
+        monkeypatch.setattr(hetlda.discriminant, "project_stats", counted)
+        monkeypatch.setattr(hetlda.gld, "project_stats", counted)
+        s1, s2, priors = d1_population()
+        _, _, trace = train_gld(s1, s2, priors)
+        assert trace.converged_by == "gradient"
+        assert len(calls) == len(trace.records)
 
     def test_deterministic(self):
         s1, s2, priors = d2_population()
@@ -276,5 +302,3 @@ class TestGldConfig:
             GldConfig(max_iters=0)
         with pytest.raises(ValueError):
             GldConfig(grad_tol=-1.0)
-        with pytest.raises(ValueError):
-            GldConfig(patience=0)

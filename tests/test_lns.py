@@ -33,8 +33,6 @@ class TestLnsConfig:
         for frac in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 LnsConfig(perturb_fraction=frac)
-        with pytest.raises(ValueError):
-            LnsConfig(zero_component_step=0.0)
 
     def test_defaults(self):
         cfg = LnsConfig()
