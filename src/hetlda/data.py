@@ -36,29 +36,6 @@ CSV_HEADER = ("method,bayes_error_mean,bayes_error_std,"
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
-def _read_rows(path: str, has_header: bool
-               ) -> tuple[list[list[str]], array]:
-    """The non-empty rows of a file and the file line each one ends on."""
-    rows = []
-    lines = array("q")
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
-    if has_header and rows:
-        rows, lines = rows[1:], lines[1:]
-    if not rows:
-        raise ParseError("no data rows")
-    width = len(rows[0])
-    for line, row in zip(lines, rows):
-        if len(row) != width:
-            raise InconsistentWidth(
-                f"{len(row)} cells, expected {width}", row=line)
-    return rows, lines
-
-
 def _parse_feature(cell: str, row: int, column: int) -> float:
     try:
         value = float(cell)
@@ -71,6 +48,50 @@ def _parse_feature(cell: str, row: int, column: int) -> float:
     return value
 
 
+def _label_index(width: int, label_column: int) -> int:
+    if width < 2:
+        raise ParseError(f"{width} columns; need at least one feature "
+                         "and one label column")
+    col = label_column if label_column >= 0 else width + label_column
+    if not 0 <= col < width:
+        raise ParseError(f"label column {label_column} out of range for "
+                         f"{width} columns")
+    return col
+
+
+def _read(path: str, has_header: bool, label_column: int | None
+          ) -> tuple[np.ndarray, list[str]]:
+    """The feature matrix and the stripped label cells of a file, read in
+    one pass: each non-empty row is width-checked and parsed as it
+    arrives, so an error locates the first fault in file order. With
+    label_column None every cell is a feature."""
+    values = array("d")
+    labels = []
+    width = col = None
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        rows = (row for row in reader if row)
+        if has_header:
+            next(rows, None)
+        for row in rows:
+            line = reader.line_num
+            if width is None:
+                width = len(row)
+                if label_column is not None:
+                    col = _label_index(width, label_column)
+            elif len(row) != width:
+                raise InconsistentWidth(
+                    f"{len(row)} cells, expected {width}", row=line)
+            for c, cell in enumerate(row):
+                if c == col:
+                    labels.append(cell.strip())
+                else:
+                    values.append(_parse_feature(cell.strip(), line, c + 1))
+    if width is None:
+        raise ParseError("no data rows")
+    return np.frombuffer(values).reshape(-1, width - (col is not None)), labels
+
+
 def load_csv(path: str, has_header: bool = False,
              label_column: int = -1) -> LabeledDataset:
     """Read a delimited file with one label column, the rest features.
@@ -80,27 +101,7 @@ def load_csv(path: str, has_header: bool = False,
     in order of first appearance, with the original text kept as class
     names.
     """
-    rows, lines = _read_rows(path, has_header)
-    width = len(rows[0])
-    if width < 2:
-        raise ParseError(f"{width} columns; need at least one feature "
-                         "and one label column")
-    col = label_column if label_column >= 0 else width + label_column
-    if not 0 <= col < width:
-        raise ParseError(f"label column {label_column} out of range for "
-                         f"{width} columns")
-
-    features = np.empty((len(rows), width - 1))
-    raw_labels = []
-    for i, (line, row) in enumerate(zip(lines, rows)):
-        j = 0
-        for c, cell in enumerate(row):
-            if c == col:
-                raw_labels.append(cell.strip())
-                continue
-            features[i, j] = _parse_feature(cell.strip(), line, c + 1)
-            j += 1
-
+    features, raw_labels = _read(path, has_header, label_column)
     try:
         values = [int(cell) for cell in raw_labels]
     except ValueError:
@@ -119,12 +120,7 @@ def load_csv(path: str, has_header: bool = False,
 
 def load_matrix_csv(path: str, has_header: bool = False) -> np.ndarray:
     """Read a delimited file where every cell is a feature."""
-    rows, lines = _read_rows(path, has_header)
-    out = np.empty((len(rows), len(rows[0])))
-    for i, (line, row) in enumerate(zip(lines, rows)):
-        for c, cell in enumerate(row):
-            out[i, c] = _parse_feature(cell.strip(), line, c + 1)
-    return out
+    return _read(path, has_header, None)[0]
 
 
 def save_csv(data: LabeledDataset, path: str) -> None:
@@ -366,7 +362,6 @@ def default_workers() -> int:
 def run_benchmark(data: LabeledDataset,
                   methods: list[tuple[str, BinaryTrainer]],
                   plan: CvPlan | None = None,
-                  max_workers: int | None = None,
                   standardize: bool = False) -> BenchmarkReport:
     """Repeated k-fold comparison of named binary trainers.
 
@@ -385,8 +380,7 @@ def run_benchmark(data: LabeledDataset,
             for name, trainer in methods
             for trial in range(plan.trials)
             for fold, (train_idx, test_idx) in enumerate(splits[trial])]
-    workers = max_workers if max_workers is not None else default_workers()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=default_workers()) as pool:
         records = list(pool.map(
             lambda job: _run_cell(data, job[1], job[4], job[5], job[2],
                                   job[3], standardize), jobs))

@@ -31,7 +31,11 @@ _MIN_PROJECTED_VARIANCE = 1e-300
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """a as a read-only C-contiguous array. A writeable a is copied, so
+    the caller's array stays writeable and its later writes cannot reach
+    the object that keeps the result."""
+    if a.flags.writeable or not a.flags.c_contiguous:
+        a = np.array(a, order="C")
     a.setflags(write=False)
     return a
 
@@ -67,7 +71,7 @@ class LabeledDataset:
             if np.any(y_int != rounded):
                 raise ValueError("labels must be integers")
             y = y_int
-        y = y.astype(np.int64)
+        y = y.astype(np.int64, copy=False)
         if y.min() < 0:
             raise ValueError("labels must be non-negative")
         object.__setattr__(self, "features", _readonly(x))
@@ -99,11 +103,15 @@ class LabeledDataset:
         trimmed to the labels that remain representable (entries above
         the new max label drop off)."""
         idx = np.asarray(indices)
-        labels = self.labels[idx]
+        features, labels = self.features[idx], self.labels[idx]
+        # Indexing with an array copies, and nothing else holds these
+        # copies, so the new dataset may keep them without another one.
+        features.setflags(write=False)
+        labels.setflags(write=False)
         names = self.class_names
         if names is not None and labels.size:
             names = names[: int(labels.max()) + 1]
-        return LabeledDataset(self.features[idx], labels, names)
+        return LabeledDataset(features, labels, names)
 
 
 @dataclass(frozen=True)

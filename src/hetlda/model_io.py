@@ -49,6 +49,16 @@ def save_model(path: str, model: OvoModel, method: str,
         handle.write("\n")
 
 
+def _integer(document: dict, key: str) -> int:
+    # JSON true and 0.0 compare equal to integers but cannot size or
+    # index the vote table, so only a plain integer is accepted.
+    value = document[key]
+    if type(value) is not int:
+        raise ParseError(f"malformed model file: {key} {value!r} is not "
+                         "an integer")
+    return value
+
+
 def load_model(path: str) -> tuple[OvoModel, str, dict]:
     """Read a model file; returns (model, method name, metadata)."""
     with open(path) as handle:
@@ -56,6 +66,8 @@ def load_model(path: str) -> tuple[OvoModel, str, dict]:
             document = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"model file is not valid JSON: {exc}") from None
+    if not isinstance(document, dict):
+        raise ParseError("malformed model file: not a JSON object")
     version = document.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionMismatch(
@@ -64,12 +76,12 @@ def load_model(path: str) -> tuple[OvoModel, str, dict]:
     try:
         names = document["class_names"]
         pairs = tuple(
-            (entry["class_a"], entry["class_b"],
+            (_integer(entry, "class_a"), _integer(entry, "class_b"),
              LinearDiscriminant(np.array(entry["w"], dtype=float),
                                 float(entry["w0"])),
              float(entry["p_e"]))
             for entry in document["pairs"])
-        model = OvoModel(pairs, document["n_classes"],
+        model = OvoModel(pairs, _integer(document, "n_classes"),
                          tuple(names) if names else None)
         method, metadata = document["method"], document.get("metadata", {})
     except (KeyError, TypeError, ValueError) as exc:

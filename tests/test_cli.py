@@ -201,6 +201,21 @@ class TestPredict:
         assert code == 1 and "non-finite" in stderr
         assert "predictions" not in stdout
 
+    def test_malformed_model_shapes_exit_one(self, tmp_path, capsys):
+        _, model_path = self.fitted(tmp_path, capsys, method="lda")
+        document = json.loads(open(model_path).read())
+        document["pairs"][0]["class_a"] = 0.0
+        float_index = tmp_path / "float_index.json"
+        float_index.write_text(json.dumps(document))
+        top_level_list = tmp_path / "list.json"
+        top_level_list.write_text("[1, 2]")
+        data = small_csv(tmp_path)
+        for broken in (float_index, top_level_list):
+            code, stdout, stderr = run(capsys, "predict", str(broken), data,
+                                       "--out", str(tmp_path / "p.txt"))
+            assert code == 1 and stderr.startswith("error: malformed")
+            assert "predictions" not in stdout
+
 
 class TestBenchmark:
     def test_small_csv_smoke(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,38 @@ class TestLoadCsv:
             with pytest.raises(InconsistentWidth) as info:
                 load(path, has_header=True)
             assert info.value.row == 5
+        path = write(tmp_path, "\na,b,label\n\n\n1.0,2.0,0\n\n3.0,x,1\n")
+        for load in (load_csv, load_matrix_csv):
+            with pytest.raises(ParseError) as info:
+                load(path, has_header=True)
+            assert info.value.row == 7 and info.value.column == 2
+
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        path = write(tmp_path, "1.0,2.0,0\n3.0,x,1\n5.0,6.0,0\n7.0,1\n")
+        for load in (load_csv, load_matrix_csv):
+            with pytest.raises(ParseError) as info:
+                load(path)
+            assert not isinstance(info.value, InconsistentWidth)
+            assert info.value.row == 2 and info.value.column == 2
+
+    def test_peak_memory_is_a_small_multiple_of_the_result(self, tmp_path):
+        rng = np.random.default_rng(0)
+        data = LabeledDataset(rng.normal(size=(20000, 8)),
+                              rng.integers(0, 3, 20000))
+        labeled = str(tmp_path / "labeled.csv")
+        save_csv(data, labeled)
+        bare = str(tmp_path / "bare.csv")
+        np.savetxt(bare, data.features, fmt="%.17g", delimiter=",")
+        for load, path in ((lambda p: load_csv(p).features, labeled),
+                           (load_matrix_csv, bare)):
+            tracemalloc.start()
+            try:
+                features = load(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(features, data.features)
+            assert peak <= 4 * features.nbytes
 
     def test_ragged_rows(self, tmp_path):
         path = write(tmp_path, "1.0,2.0,0\n3.0,1\n")
@@ -302,12 +335,14 @@ class TestRunBenchmark:
         assert a.accuracy == b.accuracy
         assert a.mean_bayes_error == b.mean_bayes_error
 
-    def test_serial_and_pooled_agree(self):
+    def test_serial_and_pooled_agree(self, monkeypatch):
         data = two_blob_data(n=60, seed=5)
         plan = CvPlan(folds=3, trials=2)
         methods = [("gld", make_trainer("gld"))]
-        serial = run_benchmark(data, methods, plan, max_workers=1).methods[0]
-        pooled = run_benchmark(data, methods, plan, max_workers=4).methods[0]
+        monkeypatch.setenv("HETLDA_THREADS", "1")
+        serial = run_benchmark(data, methods, plan).methods[0]
+        monkeypatch.setenv("HETLDA_THREADS", "4")
+        pooled = run_benchmark(data, methods, plan).methods[0]
         assert serial.mean_bayes_error == pooled.mean_bayes_error
         assert serial.accuracy == pooled.accuracy
 

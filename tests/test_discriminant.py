@@ -67,6 +67,22 @@ class TestLabeledDataset:
         assert upper.class_names == ("a", "b", "c")
 
 
+def test_objects_keep_read_only_copies_of_writeable_arrays():
+    w = np.array([1.0, 2.0])
+    mean, cov = np.array([0.5, -0.5]), np.eye(2)
+    features, labels = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1])
+    kept = [(LinearDiscriminant(w, 0.0).w, w)]
+    stats = ClassStats(mean, cov, 2, 0.5)
+    kept += [(stats.mean, mean), (stats.cov, cov)]
+    data = LabeledDataset(features, labels)
+    kept += [(data.features, features), (data.labels, labels)]
+    for stored, given in kept:
+        before = stored.copy()
+        given[0] = 7                # the caller's array stays writeable
+        assert np.array_equal(stored, before)
+        assert not stored.flags.writeable
+
+
 class TestComputeClassStats:
     def test_generated_priors(self):
         data = generate_d1(0)

@@ -99,6 +99,26 @@ class TestFormatGuards:
             with pytest.raises(ParseError):
                 load_model(str(broken))
 
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ParseError, match="not a JSON object"):
+            load_model(str(path))
+
+    def test_class_fields_must_be_integers(self, tmp_path):
+        model, _ = trained_model(seed=10, k=2)
+        path = str(tmp_path / "model.json")
+        save_model(path, model, "lda")
+        for key, value in (("class_a", 0.0), ("class_b", True),
+                           ("n_classes", True)):
+            document = json.loads(open(path).read())
+            owner = document if key == "n_classes" else document["pairs"][0]
+            owner[key] = value
+            broken = tmp_path / f"{key}.json"
+            broken.write_text(json.dumps(document))
+            with pytest.raises(ParseError, match="not an integer"):
+                load_model(str(broken))
+
     def test_weight_lengths_must_agree(self, tmp_path):
         model, _ = trained_model(seed=9, k=3)
         path = str(tmp_path / "model.json")
