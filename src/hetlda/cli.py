@@ -41,23 +41,21 @@ def _config(kind, **fields):
 
 def _add_trainer_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("trainer options")
-    group.add_argument("--max-iters", type=int, default=20,
-                       help="fixed-point iteration cap (default 20)")
-    group.add_argument("--grad-tol", type=float, default=1e-6,
-                       help="gradient-norm stopping tolerance (default 1e-6)")
-    group.add_argument("--step", type=float, default=0.001,
-                       help="grid spacing for chld (default 0.001)")
-    group.add_argument("--s-min", type=float, default=-2.0,
-                       help="random-draw range lower end (default -2)")
-    group.add_argument("--s-max", type=float, default=3.0,
-                       help="random-draw range upper end (default 3)")
-    group.add_argument("--lns-iters", type=int, default=1000,
-                       help="perturbation sweeps for gld-lns (default 1000)")
-    group.add_argument("--lns-early-stop", type=int, default=100,
-                       help="sweeps without improvement before stopping "
-                            "(default 100)")
-    group.add_argument("--perturb-fraction", type=float, default=0.1,
-                       help="relative perturbation size (default 0.1)")
+    for flag, default, text in (
+            ("--max-iters", GldConfig.max_iters, "fixed-point iteration cap"),
+            ("--grad-tol", GldConfig.grad_tol,
+             "gradient-norm stopping tolerance"),
+            ("--step", SweepConfig.step, "grid spacing for chld"),
+            ("--s-min", SweepConfig.s_range[0], "random-draw range lower end"),
+            ("--s-max", SweepConfig.s_range[1], "random-draw range upper end"),
+            ("--lns-iters", LnsConfig.max_iters,
+             "perturbation sweeps for gld-lns"),
+            ("--lns-early-stop", LnsConfig.early_stop,
+             "sweeps without improvement before stopping"),
+            ("--perturb-fraction", LnsConfig.perturb_fraction,
+             "relative perturbation size")):
+        group.add_argument(flag, type=type(default), default=default,
+                           help=f"{text} (default %(default)s)")
 
 
 def _trainer_configs(args) -> tuple[GldConfig, SweepConfig, LnsConfig]:
@@ -105,14 +103,14 @@ def cmd_train(args) -> int:
     metadata = {
         "dataset_sha256": dataset_hash(data),
         "source": args.data,
-        "seed": args.seed,
+        "seed": sweep.seed,
         "config": {
-            "max_iters": args.max_iters, "grad_tol": args.grad_tol,
-            "step": args.step, "trials": args.search_trials,
-            "s_range": [args.s_min, args.s_max],
-            "lns_iters": args.lns_iters,
-            "lns_early_stop": args.lns_early_stop,
-            "perturb_fraction": args.perturb_fraction,
+            "max_iters": gld.max_iters, "grad_tol": gld.grad_tol,
+            "step": sweep.step, "trials": sweep.trials,
+            "s_range": list(sweep.s_range),
+            "lns_iters": lns.max_iters,
+            "lns_early_stop": lns.early_stop,
+            "perturb_fraction": lns.perturb_fraction,
         },
     }
     save_model(args.out, model, args.method, metadata)
@@ -125,28 +123,22 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model, _method, _metadata = load_model(args.model)
-    labels = None
+    data = None
     if args.label_col is not None:
         data = load_csv(args.data, has_header=args.header,
                         label_column=args.label_col)
         features = data.features
-        labels = data.labels
-        label_names = data.class_names
     else:
         features = load_matrix_csv(args.data, has_header=args.header)
     predicted = predict_ovo_batch(model, features)
-    names = model.class_names
+    names = model.class_names or tuple(str(k) for k in range(model.n_classes))
     with open(args.out, "w") as handle:
         for label in predicted:
-            handle.write((names[label] if names else str(int(label))) + "\n")
+            handle.write(names[label] + "\n")
     print(f"wrote {predicted.shape[0]} predictions to {args.out}")
-    if labels is not None:
-        if names and label_names:
-            matches = [names[p] == label_names[a]
-                       for p, a in zip(predicted, labels)]
-            acc = float(np.mean(matches))
-        else:
-            acc = float(np.mean(predicted == labels))
+    if data is not None:
+        acc = float(np.mean([names[p] == data.class_names[a]
+                             for p, a in zip(predicted, data.labels)]))
         print(f"accuracy: {acc:.4f}")
     return 0
 
@@ -198,10 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the first row")
     train.add_argument("--out", required=True, help="model file path")
     train.add_argument("--trials", dest="search_trials", type=int,
-                       default=1000,
-                       help="random draws for rhld1/rhld2 (default 1000)")
-    train.add_argument("--seed", type=int, default=0,
-                       help="seed for the random-search trainers (default 0)")
+                       default=SweepConfig.trials,
+                       help="random draws for rhld1/rhld2 (default %(default)s)")
+    train.add_argument("--seed", type=int, default=SweepConfig.seed,
+                       help="seed for the random-search trainers "
+                            "(default %(default)s)")
     _add_trainer_flags(train)
     train.set_defaults(func=cmd_train)
 
@@ -222,19 +215,21 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--methods", type=_method_list, required=True,
                        help="comma-separated subset of "
                             f"{','.join(METHOD_NAMES)}")
-    bench.add_argument("--folds", type=int, default=10)
-    bench.add_argument("--trials", dest="cv_trials", type=int, default=20,
+    bench.add_argument("--folds", type=int, default=CvPlan.folds)
+    bench.add_argument("--trials", dest="cv_trials", type=int,
+                       default=CvPlan.trials,
                        help="number of cross-validation repetitions "
-                            "(default 20)")
+                            "(default %(default)s)")
     bench.add_argument("--label-col", type=int, default=-1,
                        help="label column for CSV input (default: last)")
     bench.add_argument("--header", action="store_true",
                        help="skip the first row of CSV input")
-    bench.add_argument("--search-trials", type=int, default=1000,
-                       help="random draws for rhld1/rhld2 (default 1000)")
-    bench.add_argument("--seed", type=int, default=0,
+    bench.add_argument("--search-trials", type=int,
+                       default=SweepConfig.trials,
+                       help="random draws for rhld1/rhld2 (default %(default)s)")
+    bench.add_argument("--seed", type=int, default=CvPlan.seed,
                        help="seeds generation, fold shuffling, and the "
-                            "random-search trainers")
+                            "random-search trainers (default %(default)s)")
     bench.add_argument("--standardize", action="store_true",
                        help="z-score features using training-fold statistics")
     bench.add_argument("--format", choices=["text", "csv"], default="text")

@@ -229,7 +229,6 @@ def kfold_split(data: LabeledDataset, plan: CvPlan
             raise InfeasibleStratification(
                 f"class {label} has {count} samples, fewer than "
                 f"{plan.folds} folds")
-    everything = np.arange(data.n_samples)
     trials = []
     for trial in range(plan.trials):
         rng = np.random.default_rng(plan.seed + trial)
@@ -243,7 +242,7 @@ def kfold_split(data: LabeledDataset, plan: CvPlan
             test = np.sort(np.concatenate(parts))
             mask = np.ones(data.n_samples, dtype=bool)
             mask[test] = False
-            splits.append((everything[mask], test))
+            splits.append((np.flatnonzero(mask), test))
         trials.append(splits)
     return trials
 

@@ -184,8 +184,7 @@ def compute_class_stats(data: LabeledDataset, class_a: int,
     Priors come from the relative counts of the two classes alone. Each
     class must contribute at least two samples.
     """
-    out = []
-    counts = []
+    moments = []
     for label in (class_a, class_b):
         idx = data.class_indices(label)
         if idx.size < 2:
@@ -193,13 +192,11 @@ def compute_class_stats(data: LabeledDataset, class_a: int,
                 f"class {label} has {idx.size} sample(s); at least 2 required")
         rows = data.features[idx]
         m = mean_vector(rows)
-        out.append((m, covariance_matrix(rows, m), idx.size))
-        counts.append(idx.size)
-    total = counts[0] + counts[1]
-    priors = Priors(counts[0] / total, counts[1] / total)
-    s1 = ClassStats(out[0][0], out[0][1], out[0][2], priors.pi1)
-    s2 = ClassStats(out[1][0], out[1][1], out[1][2], priors.pi2)
-    return s1, s2, priors
+        moments.append((m, covariance_matrix(rows, m), idx.size))
+    (m1, c1, n1), (m2, c2, n2) = moments
+    priors = Priors(n1 / (n1 + n2), n2 / (n1 + n2))
+    return (ClassStats(m1, c1, n1, priors.pi1),
+            ClassStats(m2, c2, n2, priors.pi2), priors)
 
 
 def project_stats(disc: LinearDiscriminant, stats1: ClassStats,
@@ -275,12 +272,20 @@ def training_error_count(disc: LinearDiscriminant, data: LabeledDataset,
 
     By default the smaller label plays the w'x >= w0 side (class_a).
     """
-    present = np.unique(data.labels)
+    class_a, class_b = _class_pair(data, class_a, class_b)
+    side_a = decision_values(disc, data.features) >= 0.0
+    predicted = np.where(side_a, class_a, class_b)
+    return int(np.sum(predicted != data.labels))
+
+
+def _class_pair(data: LabeledDataset, class_a: int | None,
+                class_b: int | None) -> tuple[int, int]:
+    # (class_a, class_b) as given, or the two labels present in data,
+    # smaller first, when either is None
     if class_a is None or class_b is None:
+        present = np.unique(data.labels)
         if present.size != 2:
             raise DimensionMismatch(
                 f"dataset has {present.size} classes; pass class_a/class_b explicitly")
         class_a, class_b = int(present[0]), int(present[1])
-    side_a = decision_values(disc, data.features) >= 0.0
-    predicted = np.where(side_a, class_a, class_b)
-    return int(np.sum(predicted != data.labels))
+    return class_a, class_b

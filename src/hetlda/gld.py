@@ -121,13 +121,15 @@ def solve_threshold(mu1: float, mu2: float, var1: float, var2: float,
     (mu1+mu2)/2 + var ln(tau)/(mu1-mu2), or the plain midpoint when the
     projected means coincide as well.
     """
+    # inputs that pass this test are validated by threshold_roots, all
+    # others (NaN included) below, so each call validates once
+    if abs(var1 - var2) > _VARIANCE_EQUALITY_TOL * max(var1, var2):
+        return threshold_roots(mu1, mu2, var1, var2, tau)[0]
     _validate_inputs(mu1, mu2, var1, var2, tau)
-    if abs(var1 - var2) <= _VARIANCE_EQUALITY_TOL * max(var1, var2):
-        if mu1 == mu2:
-            return 0.5 * (mu1 + mu2)
-        var = 0.5 * (var1 + var2)
-        return 0.5 * (mu1 + mu2) + var * math.log(tau) / (mu1 - mu2)
-    return threshold_roots(mu1, mu2, var1, var2, tau)[0]
+    if mu1 == mu2:
+        return 0.5 * (mu1 + mu2)
+    var = 0.5 * (var1 + var2)
+    return 0.5 * (mu1 + mu2) + var * math.log(tau) / (mu1 - mu2)
 
 
 def second_order_holds(proj: ProjectedStats,

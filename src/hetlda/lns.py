@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discriminant import LabeledDataset, LinearDiscriminant
+from .discriminant import LabeledDataset, LinearDiscriminant, _class_pair
 from .errors import DimensionMismatch
 
 __all__ = ["LnsConfig", "local_neighbourhood_search"]
@@ -71,13 +71,7 @@ def local_neighbourhood_search(
         raise DimensionMismatch(
             f"{train.n_features} feature columns, discriminant expects "
             f"{init.w.shape[0]}")
-    if class_a is None or class_b is None:
-        present = np.unique(train.labels)
-        if present.size != 2:
-            raise DimensionMismatch(
-                f"dataset has {present.size} classes; pass class_a/class_b "
-                "explicitly")
-        class_a, class_b = int(present[0]), int(present[1])
+    class_a, class_b = _class_pair(train, class_a, class_b)
 
     features = train.features
     labels = train.labels

@@ -27,7 +27,7 @@ BinaryTrainer = Callable[[LabeledDataset, int, int],
 
 @dataclass(frozen=True)
 class OvoModel:
-    """All K(K-1)/2 pairwise rules with their error estimates."""
+    """All K(K-1)/2 pairwise rules with their error estimates; K >= 2."""
 
     pairs: tuple[tuple[int, int, LinearDiscriminant, float], ...]
     n_classes: int
@@ -36,6 +36,8 @@ class OvoModel:
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
         k = self.n_classes
+        if k < 2:
+            raise ValueError(f"need at least two classes, got {k}")
         expected = {(a, b) for a in range(k) for b in range(a + 1, k)}
         seen = set()
         for a, b, _disc, p_e in self.pairs:
@@ -83,8 +85,7 @@ def train_ovo(data: LabeledDataset, trainer: BinaryTrainer) -> OvoModel:
 
 
 def _scores(model: OvoModel, features: np.ndarray) -> np.ndarray:
-    scores = np.zeros((features.shape[0] if features.ndim == 2 else 1,
-                       model.n_classes))
+    scores = np.zeros((features.shape[0], model.n_classes))
     for a, b, disc, p_e in model.pairs:
         votes_a = decision_values(disc, features) >= 0.0
         weight = 1.0 - p_e
@@ -96,7 +97,7 @@ def _scores(model: OvoModel, features: np.ndarray) -> np.ndarray:
 def predict_ovo(model: OvoModel, x) -> int:
     """Weighted-vote label for a single sample; ties go to the lowest
     class index."""
-    return int(np.argmax(_scores(model, np.asarray(x, dtype=float))[0]))
+    return int(predict_ovo_batch(model, x)[0])
 
 
 def predict_ovo_batch(model: OvoModel, features) -> np.ndarray:

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hetlda import (CSV_HEADER, CvPlan, GldConfig, LabeledDataset, LnsConfig,
-                    SweepConfig, cli, load_model, save_csv)
+                    OvoModel, SweepConfig, cli, load_csv, load_model,
+                    make_trainer, save_csv, save_model, train_ovo)
 from hetlda.cli import main
 
 
@@ -46,13 +48,13 @@ class TestGenerate:
         assert code == 0
         assert "n=3000" in stdout and "d=8" in stdout
         assert "[1000, 2000]" in stdout
-        assert len(open(out).read().splitlines()) == 3000
+        assert len(Path(out).read_text().splitlines()) == 3000
 
     def test_repeatable(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         run(capsys, "generate", "d2", "--seed", "3", "--out", a)
         run(capsys, "generate", "d2", "--seed", "3", "--out", b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_unwritable_path(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "generate", "d1", "--out",
@@ -148,7 +150,7 @@ class TestPredict:
         # the search stage stores the empirical training error rate
         stored = load_model(model_path)[0].pairs[0][3]
         assert printed == pytest.approx(1.0 - stored, abs=5e-5)
-        assert len(open(out).read().splitlines()) == 40
+        assert len(Path(out).read_text().splitlines()) == 40
 
     def test_unlabeled_input_gives_no_accuracy_line(self, tmp_path, capsys):
         _, model_path = self.fitted(tmp_path, capsys)
@@ -159,7 +161,7 @@ class TestPredict:
                               "--out", out)
         assert code == 0
         assert "accuracy" not in stdout
-        assert len(open(out).read().splitlines()) == 2
+        assert len(Path(out).read_text().splitlines()) == 2
 
     def test_string_names_written(self, tmp_path, capsys):
         data = three_class_csv(tmp_path)
@@ -170,7 +172,7 @@ class TestPredict:
         code, _, _ = run(capsys, "predict", model_path, data,
                          "--label-col", "2", "--out", out)
         assert code == 0
-        written = set(open(out).read().split())
+        written = set(Path(out).read_text().split())
         assert written <= {"ash", "birch", "cedar"}
 
     def test_dimension_mismatch_exits_one(self, tmp_path, capsys):
@@ -191,9 +193,9 @@ class TestPredict:
 
     def test_non_finite_model_weight_exits_one(self, tmp_path, capsys):
         _, model_path = self.fitted(tmp_path, capsys, method="lda")
-        document = json.loads(open(model_path).read())
+        document = json.loads(Path(model_path).read_text())
         document["pairs"][0]["w"][0] = float("nan")
-        open(model_path, "w").write(json.dumps(document))
+        Path(model_path).write_text(json.dumps(document))
         data = small_csv(tmp_path)
         code, stdout, stderr = run(capsys, "predict", model_path, data,
                                    "--label-col", "2",
@@ -203,7 +205,7 @@ class TestPredict:
 
     def test_malformed_model_shapes_exit_one(self, tmp_path, capsys):
         _, model_path = self.fitted(tmp_path, capsys, method="lda")
-        document = json.loads(open(model_path).read())
+        document = json.loads(Path(model_path).read_text())
         document["pairs"][0]["class_a"] = 0.0
         float_index = tmp_path / "float_index.json"
         float_index.write_text(json.dumps(document))
@@ -215,6 +217,40 @@ class TestPredict:
                                        "--out", str(tmp_path / "p.txt"))
             assert code == 1 and stderr.startswith("error: malformed")
             assert "predictions" not in stdout
+
+    def test_fewer_than_two_classes_exit_one(self, tmp_path, capsys):
+        data = small_csv(tmp_path)
+        broken = tmp_path / "model.json"
+        for k, names in ((1, ["only"]), (0, []), (-1, None)):
+            broken.write_text(json.dumps({
+                "format_version": 1, "method": "gld", "n_classes": k,
+                "class_names": names, "pairs": []}))
+            code, stdout, stderr = run(capsys, "predict", str(broken), data,
+                                       "--out", str(tmp_path / "p.txt"))
+            assert code == 1 and stderr.startswith("error: malformed"), k
+            assert "predictions" not in stdout
+
+    def test_model_without_names_is_scored_by_name(self, tmp_path, capsys):
+        # The file's labels 0 and 2 load as dense indices 0 and 1 named
+        # "0" and "2"; a model without class names writes and scores
+        # index k as the name str(k), so only the "0" rows can match.
+        rng = np.random.default_rng(2)
+        rows = [f"{x:.17g},{y:.17g},{label}"
+                for label, center in ((0, 0.0), (2, 9.0))
+                for x, y in rng.normal(center, 1.0, (20, 2))]
+        data = tmp_path / "sparse.csv"
+        data.write_text("\n".join(rows) + "\n")
+        model = train_ovo(load_csv(str(data), label_column=2),
+                          make_trainer("lda"))
+        model_path = str(tmp_path / "model.json")
+        save_model(model_path, OvoModel(model.pairs, model.n_classes),
+                   "lda")
+        out = tmp_path / "pred.txt"
+        code, stdout, _ = run(capsys, "predict", model_path, str(data),
+                              "--label-col", "2", "--out", str(out))
+        assert code == 0
+        assert out.read_text().split() == ["0"] * 20 + ["1"] * 20
+        assert "accuracy: 0.5000" in stdout
 
 
 class TestBenchmark:
@@ -248,7 +284,7 @@ class TestBenchmark:
                               "--out", out)
         assert code == 0 and "report written" in stdout
         rows = {line.split(",")[0]: line.split(",")
-                for line in open(out).read().splitlines()[1:]}
+                for line in Path(out).read_text().splitlines()[1:]}
         assert float(rows["gld"][1]) <= float(rows["lda"][1])
 
     def test_every_config_field_has_a_flag(self, monkeypatch, capsys):

@@ -360,6 +360,40 @@ class TestReportFormats:
         assert cells[0] == "lda" and len(cells) == 6
         assert float(cells[1]) == report.methods[0].mean_bayes_error
 
+    def test_text_report_marks_failed_cells(self):
+        data = two_blob_data(n=40, seed=6)
+        plan = CvPlan(folds=4, trials=2)
+        lda = make_trainer("lda")
+
+        def fails_with_row_zero(train, a, b):
+            if np.any(np.all(train.features == data.features[0], axis=1)):
+                raise DegenerateProjection("forced failure")
+            return lda(train, a, b)
+
+        report = run_benchmark(data, [("flaky", fails_with_row_zero)], plan)
+        row = report.methods[0]
+        reference = run_benchmark(data, [("lda", lda)], plan).methods[0]
+        # row 0 trains in 3 of 4 folds of each trial
+        assert row.failures == 6
+        kept = [(r, ref) for r, ref in zip(row.per_fold, reference.per_fold)
+                if r.failure is None]
+        assert len(kept) == 2
+        for r, ref in kept:
+            assert (r.trial, r.fold) == (ref.trial, ref.fold)
+            assert r.bayes_error == ref.bayes_error
+            assert r.accuracy == ref.accuracy
+        bayes = np.array([r.bayes_error for r, _ in kept])
+        acc = np.array([r.accuracy for r, _ in kept])
+        assert row.mean_bayes_error == float(bayes.mean())
+        assert row.bayes_error_std == float(bayes.std())
+        assert row.accuracy == float(acc.mean())
+        assert row.accuracy_std == float(acc.std())
+        line = report.to_text().splitlines()[2]
+        assert line.startswith("flaky ")
+        assert line.endswith("  [6 failed cells]")
+        assert f"{bayes.mean():.4f} ± {bayes.std():.4f}" in line
+        assert f"{acc.mean():.4f} ± {acc.std():.4f}" in line
+
     def test_text_report_mentions_protocol(self):
         data = two_blob_data(n=40, seed=6)
         report = run_benchmark(data, [("lda", make_trainer("lda"))],

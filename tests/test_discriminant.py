@@ -47,6 +47,13 @@ class TestLabeledDataset:
         with pytest.raises(ValueError):
             LabeledDataset([[math.nan]], [0])
 
+    def test_float_labels_must_be_integral(self):
+        data = LabeledDataset(np.zeros((2, 1)), np.array([0.0, 1.0]))
+        assert data.labels.dtype == np.int64
+        assert data.labels.tolist() == [0, 1]
+        with pytest.raises(ValueError, match="labels must be integers"):
+            LabeledDataset(np.zeros((2, 1)), np.array([0.5, 1.0]))
+
     def test_class_names_length_checked(self):
         with pytest.raises(DimensionMismatch):
             LabeledDataset([[1.0], [2.0]], [0, 1], ("only-one",))

@@ -6,8 +6,9 @@ from numpy.testing import assert_allclose
 
 import hetlda.discriminant
 import hetlda.gld
-from hetlda import (ClassStats, ComplexRoot, GldConfig, Indeterminate,
-                    LinearDiscriminant, Priors, ProjectedStats, ZeroDirection,
+from hetlda import (ClassStats, ComplexRoot, DegenerateProjection,
+                    GldConfig, Indeterminate, LinearDiscriminant, Priors,
+                    ProjectedStats, SingularUpdate, ZeroDirection,
                     bayes_error, d1_population, d2_population, fisher_init,
                     gradient_bayes_error, project_stats, recover_s,
                     second_order_holds, solve_threshold, threshold_roots,
@@ -294,6 +295,58 @@ class TestTrainGld:
         second = train_gld(s1, s2, priors)
         assert np.array_equal(first[0].w, second[0].w)
         assert first[0].w0 == second[0].w0 and first[1] == second[1]
+
+
+class TestTrainGldExits:
+    """The stops that d1_population never reaches, forced by making one
+    step of the loop fail on its n-th call."""
+
+    @staticmethod
+    def fail_on_call(monkeypatch, name, n, error):
+        real = getattr(hetlda.gld, name)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == n:
+                raise error(f"forced on call {n}")
+            return real(*args)
+
+        monkeypatch.setattr(hetlda.gld, name, failing)
+
+    @staticmethod
+    def assert_best_returned(result, converged_by, n_records):
+        disc, pe, trace = result
+        assert trace.converged_by == converged_by
+        assert len(trace.records) == n_records
+        errors = [r.p_e for r in trace.records]
+        assert trace.best_index == int(np.argmin(errors))
+        best = trace.records[trace.best_index]
+        assert np.array_equal(disc.w, best.w) and disc.w0 == best.w0
+        assert pe == best.p_e
+
+    def test_complex_root_after_first_record(self, monkeypatch):
+        self.fail_on_call(monkeypatch, "solve_threshold", 3, ComplexRoot)
+        self.assert_best_returned(train_gld(*d1_population()),
+                                  "complex_root", 2)
+
+    def test_degenerate_projection_after_first_record(self, monkeypatch):
+        self.fail_on_call(monkeypatch, "project_stats", 3,
+                          DegenerateProjection)
+        self.assert_best_returned(train_gld(*d1_population()),
+                                  "degenerate_projection", 2)
+
+    def test_degenerate_projection_on_first_iterate_raises(self,
+                                                           monkeypatch):
+        self.fail_on_call(monkeypatch, "project_stats", 1,
+                          DegenerateProjection)
+        with pytest.raises(DegenerateProjection, match="forced on call 1"):
+            train_gld(*d1_population())
+
+    def test_singular_update(self, monkeypatch):
+        self.fail_on_call(monkeypatch, "update_weights", 2, SingularUpdate)
+        self.assert_best_returned(train_gld(*d1_population()),
+                                  "singular_update", 2)
 
 
 class TestGldConfig:

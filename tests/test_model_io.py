@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,9 +58,9 @@ class TestFormatGuards:
         model, _ = trained_model(seed=4, k=2)
         path = str(tmp_path / "model.json")
         save_model(path, model, "lda")
-        document = json.loads(open(path).read())
+        document = json.loads(Path(path).read_text())
         document["format_version"] = FORMAT_VERSION + 1
-        open(path, "w").write(json.dumps(document))
+        Path(path).write_text(json.dumps(document))
         with pytest.raises(VersionMismatch):
             load_model(path)
 
@@ -80,9 +81,9 @@ class TestFormatGuards:
         model, _ = trained_model(seed=5, k=2)
         path = str(tmp_path / "model.json")
         save_model(path, model, "lda")
-        document = json.loads(open(path).read())
+        document = json.loads(Path(path).read_text())
         del document["pairs"][0]["w0"]
-        open(path, "w").write(json.dumps(document))
+        Path(path).write_text(json.dumps(document))
         with pytest.raises(ParseError):
             load_model(path)
 
@@ -92,7 +93,7 @@ class TestFormatGuards:
         save_model(path, model, "lda")
         for key, value in (("w", [1.0, float("nan"), 0.5]),
                            ("w0", float("inf")), ("p_e", float("nan"))):
-            document = json.loads(open(path).read())
+            document = json.loads(Path(path).read_text())
             document["pairs"][0][key] = value
             broken = tmp_path / f"{key}.json"
             broken.write_text(json.dumps(document))   # NaN, Infinity
@@ -111,7 +112,7 @@ class TestFormatGuards:
         save_model(path, model, "lda")
         for key, value in (("class_a", 0.0), ("class_b", True),
                            ("n_classes", True)):
-            document = json.loads(open(path).read())
+            document = json.loads(Path(path).read_text())
             owner = document if key == "n_classes" else document["pairs"][0]
             owner[key] = value
             broken = tmp_path / f"{key}.json"
@@ -119,13 +120,21 @@ class TestFormatGuards:
             with pytest.raises(ParseError, match="not an integer"):
                 load_model(str(broken))
 
+    def test_fewer_than_two_classes_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "format_version": FORMAT_VERSION, "method": "gld",
+            "n_classes": 1, "class_names": ["only"], "pairs": []}))
+        with pytest.raises(ParseError, match="malformed model file"):
+            load_model(str(path))
+
     def test_weight_lengths_must_agree(self, tmp_path):
         model, _ = trained_model(seed=9, k=3)
         path = str(tmp_path / "model.json")
         save_model(path, model, "lda")
-        document = json.loads(open(path).read())
+        document = json.loads(Path(path).read_text())
         document["pairs"][1]["w"] = document["pairs"][1]["w"][:2]
-        open(path, "w").write(json.dumps(document))
+        Path(path).write_text(json.dumps(document))
         with pytest.raises(ParseError, match="different lengths"):
             load_model(path)
 

@@ -35,6 +35,11 @@ class TestOvoModel:
         with pytest.raises(ValueError):
             OvoModel(((1, 0, disc, 0.1),), 2)          # a >= b
 
+    def test_fewer_than_two_classes_rejected(self):
+        for k in (1, 0, -1):
+            with pytest.raises(ValueError, match="at least two classes"):
+                OvoModel((), k)
+
     def test_error_rate_bounds(self):
         disc = LinearDiscriminant(np.array([1.0]), 0.0)
         with pytest.raises(ValueError):
