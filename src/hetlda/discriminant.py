@@ -67,10 +67,12 @@ class LabeledDataset:
             raise ValueError("features must be finite")
         if not np.issubdtype(y.dtype, np.integer):
             rounded = np.asarray(y, dtype=float)
-            y_int = rounded.astype(np.int64)
-            if np.any(y_int != rounded):
+            # checked before the cast, which warns on NaN, inf and values
+            # beyond int64
+            if not np.all((np.floor(rounded) == rounded)
+                          & (np.abs(rounded) < 2.0 ** 63)):
                 raise ValueError("labels must be integers")
-            y = y_int
+            y = rounded.astype(np.int64)
         y = y.astype(np.int64, copy=False)
         if y.min() < 0:
             raise ValueError("labels must be non-negative")

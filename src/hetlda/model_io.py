@@ -74,7 +74,6 @@ def load_model(path: str) -> tuple[OvoModel, str, dict]:
             f"model format version {version!r}, this build reads "
             f"{FORMAT_VERSION}")
     try:
-        names = document["class_names"]
         pairs = tuple(
             (_integer(entry, "class_a"), _integer(entry, "class_b"),
              LinearDiscriminant(np.array(entry["w"], dtype=float),
@@ -82,7 +81,7 @@ def load_model(path: str) -> tuple[OvoModel, str, dict]:
              float(entry["p_e"]))
             for entry in document["pairs"])
         model = OvoModel(pairs, _integer(document, "n_classes"),
-                         tuple(names) if names else None)
+                         document["class_names"])
         method, metadata = document["method"], document.get("metadata", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model file: {exc}") from None

@@ -51,7 +51,13 @@ class OvoModel:
             raise ValueError("pairs must cover every unordered class pair "
                              "exactly once")
         if self.class_names is not None:
-            names = tuple(self.class_names)
+            names = self.class_names
+            # a str would split into its characters
+            if not (isinstance(names, (list, tuple))
+                    and all(isinstance(n, str) for n in names)):
+                raise ValueError(f"class names {names!r} are not a list of "
+                                 "strings")
+            names = tuple(names)
             if len(names) != k:
                 raise ValueError(f"{len(names)} class names for {k} classes")
             object.__setattr__(self, "class_names", names)

@@ -218,6 +218,19 @@ class TestPredict:
             assert code == 1 and stderr.startswith("error: malformed")
             assert "predictions" not in stdout
 
+    def test_non_string_class_names_exit_one(self, tmp_path, capsys):
+        _, model_path = self.fitted(tmp_path, capsys, method="lda")
+        document = json.loads(Path(model_path).read_text())
+        data = small_csv(tmp_path)
+        broken = tmp_path / "names.json"
+        for names in ([1, 2], "ab"):
+            document["class_names"] = names
+            broken.write_text(json.dumps(document))
+            code, stdout, stderr = run(capsys, "predict", str(broken), data,
+                                       "--out", str(tmp_path / "p.txt"))
+            assert code == 1 and stderr.startswith("error: malformed"), names
+            assert "predictions" not in stdout
+
     def test_fewer_than_two_classes_exit_one(self, tmp_path, capsys):
         data = small_csv(tmp_path)
         broken = tmp_path / "model.json"

@@ -54,6 +54,13 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match="labels must be integers"):
             LabeledDataset(np.zeros((2, 1)), np.array([0.5, 1.0]))
 
+    def test_non_finite_labels_rejected_without_warning(self):
+        # the test run turns warnings into errors, so a cast that warns
+        # before the check would fail here
+        for bad in (math.nan, math.inf, -math.inf, 1e30):
+            with pytest.raises(ValueError, match="labels must be integers"):
+                LabeledDataset(np.zeros((2, 1)), np.array([bad, 0.0]))
+
     def test_class_names_length_checked(self):
         with pytest.raises(DimensionMismatch):
             LabeledDataset([[1.0], [2.0]], [0, 1], ("only-one",))

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import hetlda.lns
 from hetlda import (DimensionMismatch, LabeledDataset, LinearDiscriminant,
                     LnsConfig, local_neighbourhood_search,
                     training_error_count)
@@ -20,6 +23,76 @@ def random_problem(rng, n=60, d=3):
     labels[n // 2:] = 1
     init = LinearDiscriminant(rng.normal(0, 1, d), float(rng.normal()))
     return LabeledDataset(features, labels), init
+
+
+def reference_search(init, train, cfg, class_a, class_b, on_sweep):
+    # The search as a loop that scores one candidate at a time with its
+    # own matrix-vector product: the definition the sweep kernel must
+    # reproduce, ties and all.
+    features, labels = train.features, train.labels
+
+    def count_errors(vec):
+        side_a = features @ vec[1:] >= vec[0]
+        predicted = np.where(side_a, class_a, class_b)
+        return int(np.sum(predicted != labels))
+
+    current = np.concatenate(([init.w0], init.w))
+    best = current.copy()
+    best_count = count_errors(current)
+    stall = 0
+    for sweep in range(cfg.max_iters):
+        scale = float(np.max(np.abs(current)))
+        zero_step = 1e-3 * scale if scale > 0 else 1e-3
+        sweep_best = sweep_count = None
+        for i in range(current.shape[0]):
+            delta = cfg.perturb_fraction * abs(current[i])
+            if delta == 0.0:
+                delta = zero_step
+            for signed in (delta, -delta):
+                candidate = current.copy()
+                candidate[i] += signed
+                count = count_errors(candidate)
+                if sweep_count is None or count < sweep_count:
+                    sweep_best, sweep_count = candidate, count
+        current = sweep_best
+        if sweep_count < best_count:
+            best, best_count = sweep_best.copy(), sweep_count
+            stall = 0
+        else:
+            stall += 1
+        on_sweep(sweep, best_count)
+        if stall >= cfg.early_stop:
+            break
+    return LinearDiscriminant(best[1:], float(best[0])), best_count
+
+
+def tie_heavy_problems(seed, count):
+    # Rounded features at scales from 1e-6 to 1e6, so that many candidates
+    # share a count; zero weights, so the absolute step is used; every
+    # third problem has rows of a third class and explicit sides.
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        d, n = k % 8 + 1, int(rng.integers(4, 201))
+        scale = 10.0 ** rng.uniform(-6, 6)
+        features = np.round(rng.normal(0, 1, (n, d)),
+                            int(rng.integers(0, 3))) * scale
+        labels = rng.integers(0, 2, n)
+        if k % 3 == 0:
+            labels[rng.random(n) < 0.2] = 2
+        labels[:2] = (0, 1)
+        w = rng.normal(0, 1, d) / scale
+        w[rng.random(d) < 0.3] = 0.0
+        w0 = float(rng.normal()) if k % 4 else 0.0
+        if k % 3 == 0:
+            class_a, class_b = (2, 0) if k % 2 else (1, 0)
+        else:
+            class_a, class_b = (1, 0) if k % 2 else (0, 1)
+        max_iters = int(rng.integers(1, 40))
+        cfg = LnsConfig(max_iters=max_iters,
+                        early_stop=int(rng.integers(1, max_iters + 1)),
+                        perturb_fraction=float(rng.uniform(0.01, 0.5)))
+        yield (LinearDiscriminant(w, w0), LabeledDataset(features, labels),
+               cfg, class_a, class_b)
 
 
 class TestLnsConfig:
@@ -123,3 +196,48 @@ class TestSearch:
         with pytest.raises(DimensionMismatch):
             local_neighbourhood_search(
                 LinearDiscriminant(np.array([1.0, 2.0]), 0.0), data)
+
+
+class TestSweepKernel:
+    def assert_matches_loop(self, problems):
+        for init, data, cfg, class_a, class_b in problems:
+            got, want = [], []
+            result, count = local_neighbourhood_search(
+                init, data, cfg, class_a=class_a, class_b=class_b,
+                on_sweep=lambda i, best: got.append((i, best)))
+            ref, ref_count = reference_search(
+                init, data, cfg, class_a, class_b,
+                lambda i, best: want.append((i, best)))
+            assert count == ref_count and got == want
+            assert np.array_equal(result.w, ref.w) and result.w0 == ref.w0
+
+    def test_matches_loop_on_tie_heavy_problems(self):
+        self.assert_matches_loop(tie_heavy_problems(41, 240))
+
+    def test_matches_loop_across_row_blocks(self, monkeypatch):
+        for rows in (3, 5, 64):
+            monkeypatch.setattr(hetlda.lns, "_BLOCK_ROWS", rows)
+            self.assert_matches_loop(tie_heavy_problems(43, 60))
+
+    def test_matches_loop_on_default_search(self):
+        rng = np.random.default_rng(47)
+        for _ in range(4):
+            data, init = random_problem(rng, n=300, d=6)
+            self.assert_matches_loop([(init, data, LnsConfig(), 0, 1)])
+
+    def test_peak_memory_is_a_small_fraction_of_the_features(self):
+        # The sweep's n x 2(d+1) temporaries are cut into row blocks; one
+        # product over all 2e5 rows would take 2.8 times the feature bytes.
+        # The sides are given, as every trainer gives them.
+        rng = np.random.default_rng(53)
+        data, init = random_problem(rng, n=200_000, d=6)
+        cfg = LnsConfig(max_iters=2, early_stop=2)
+        tracemalloc.start()
+        try:
+            _, count = local_neighbourhood_search(init, data, cfg,
+                                                  class_a=0, class_b=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count <= training_error_count(init, data)
+        assert peak <= 0.25 * data.features.nbytes

@@ -128,6 +128,18 @@ class TestFormatGuards:
         with pytest.raises(ParseError, match="malformed model file"):
             load_model(str(path))
 
+    def test_class_names_must_be_strings(self, tmp_path):
+        model, _ = trained_model(seed=11, k=2)
+        path = str(tmp_path / "model.json")
+        save_model(path, model, "lda")
+        for names in ([1, 2], "ab", 0):
+            document = json.loads(Path(path).read_text())
+            document["class_names"] = names
+            broken = tmp_path / "names.json"
+            broken.write_text(json.dumps(document))
+            with pytest.raises(ParseError, match="malformed model file"):
+                load_model(str(broken))
+
     def test_weight_lengths_must_agree(self, tmp_path):
         model, _ = trained_model(seed=9, k=3)
         path = str(tmp_path / "model.json")

@@ -50,6 +50,14 @@ class TestOvoModel:
         with pytest.raises(ValueError):
             OvoModel(((0, 1, disc, 0.1),), 2, ("only",))
 
+    def test_class_names_must_be_strings(self):
+        disc = LinearDiscriminant(np.array([1.0]), 0.0)
+        for names in ([1, 2], "ab", ("a", None)):
+            with pytest.raises(ValueError, match="not a list of strings"):
+                OvoModel(((0, 1, disc, 0.1),), 2, names)
+        model = OvoModel(((0, 1, disc, 0.1),), 2, ["a", "b"])
+        assert model.class_names == ("a", "b")
+
     def test_mean_error(self):
         model = rigged([(0, 1, 1, 0.1), (0, 2, 1, 0.3), (1, 2, 1, 0.2)], 3)
         assert model.mean_p_e == pytest.approx(0.2)
