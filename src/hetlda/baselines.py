@@ -1,9 +1,11 @@
 """Reference linear discriminants: pooled-covariance LDA and the
 covariance-blend family searched by grid or random draws.
 
-All of them produce a rule (w, w0) plus its model error, evaluated with
-the same machinery as the fixed-point trainer, so the numbers are
-directly comparable.
+All of them return (rule, model error, (s1, s2)): the direction solves
+(s1 C1 + s2 C2) w = mean1 - mean2, and the error is evaluated with the
+same machinery as the fixed-point trainer, so the numbers are directly
+comparable. The one-parameter searches use the variance-weighted
+threshold (s1 mu2 var1 + s2 mu1 var2) / (s1 var1 + s2 var2).
 """
 from __future__ import annotations
 
@@ -70,29 +72,36 @@ def _evaluate(w: np.ndarray, w0: float, stats1: ClassStats,
     return disc, bayes_error(project_stats(disc, stats1, stats2), priors)
 
 
-def train_lda(stats1: ClassStats, stats2: ClassStats,
-              priors: Priors) -> tuple[LinearDiscriminant, float]:
-    """Homoscedastic maximum-a-posteriori rule on the pooled covariance.
-
-    The pooled covariance is the count-weighted average pi1 C1 + pi2 C2;
-    the normalization matters because the ln(tau) offset in the threshold
-    is not scale-free.
-    """
-    diff = _mean_difference(stats1, stats2)
-    pooled = priors.pi1 * stats1.cov + priors.pi2 * stats2.cov
-    w = solve_symmetric(pooled, diff)
+def _pooled_direction(pooled: np.ndarray, stats1: ClassStats,
+                      stats2: ClassStats) -> np.ndarray:
+    # solves pooled w = mean1 - mean2 for lda and gld's Fisher start
+    w = solve_symmetric(pooled, _mean_difference(stats1, stats2))
     if not np.any(w):
         raise ZeroDirection("mean difference is orthogonal to the pooled "
                             "covariance range")
+    return w
+
+
+def train_lda(stats1: ClassStats, stats2: ClassStats, priors: Priors
+              ) -> tuple[LinearDiscriminant, float, tuple[float, float]]:
+    """Homoscedastic maximum-a-posteriori rule on the pooled covariance.
+
+    The pooled covariance is the prior-weighted blend pi1 C1 + pi2 C2;
+    the normalization matters because the ln(tau) offset in the threshold
+    is not scale-free. Returns (rule, error, (pi1, pi2)).
+    """
+    w = _pooled_direction(priors.pi1 * stats1.cov + priors.pi2 * stats2.cov,
+                          stats1, stats2)
     w0 = math.log(priors.tau) + 0.5 * float((stats1.mean + stats2.mean) @ w)
-    return _evaluate(w, w0, stats1, stats2, priors)
+    return (*_evaluate(w, w0, stats1, stats2, priors),
+            (priors.pi1, priors.pi2))
 
 
 def _blend_search(stats1: ClassStats, stats2: ClassStats, priors: Priors,
-                  s1: np.ndarray, s2: np.ndarray, thresholds,
-                  reported: np.ndarray) -> tuple:
+                  s1: np.ndarray, s2: np.ndarray, thresholds
+                  ) -> tuple[LinearDiscriminant, float, tuple[float, float]]:
     """Best rule over the blends s1[i] C1 + s2[i] C2, ties to the first
-    candidate and threshold; returns (rule, error, *reported[winner]).
+    candidate and threshold; returns (rule, error, (s1[i], s2[i])).
 
     C2 = U diag(e) U' and W' C1 W = V diag(lam) V', W = U diag(e)^-1/2,
     give T = W V with T' C1 T = diag(lam), T' C2 T = I and direction
@@ -133,7 +142,8 @@ def _blend_search(stats1: ClassStats, stats2: ClassStats, priors: Priors,
     pre = project_stats(LinearDiscriminant(w, 0.0), stats1, stats2)
     scored = [_evaluate(w, cut, stats1, stats2, priors) for cut in
               thresholds(s1[i], s2[i], pre.mu1, pre.mu2, pre.var1, pre.var2)]
-    return (*min(scored, key=lambda rule: rule[1]), *map(float, reported[i]))
+    return (*min(scored, key=lambda rule: rule[1]),
+            (float(s1[i]), float(s2[i])))
 
 
 def _weighted_threshold(s1, s2, mu1, mu2, var1, var2):
@@ -147,53 +157,39 @@ def _three_thresholds(s1, s2, mu1, mu2, var1, var2):
 
 def train_chld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
                config: SweepConfig | None = None
-               ) -> tuple[LinearDiscriminant, float, float]:
-    """Grid search of the constrained blend family.
-
-    For s on the grid {0, step, 2 step, ..., 1}, the direction solves
-    [s C1 + (1-s) C2] w = mean1 - mean2 and the threshold is the variance-
-    weighted mean [s mu2 var1 + (1-s) mu1 var2] / [s var1 + (1-s) var2].
-    Ties keep the smaller s. Returns (rule, error, best s).
-    """
+               ) -> tuple[LinearDiscriminant, float, tuple[float, float]]:
+    """Grid search of the blends (s, 1-s) for s in {0, step, 2 step, ...,
+    1}, with the variance-weighted threshold. Ties keep the smaller s."""
     cfg = config or SweepConfig()
     count = int(math.floor(1.0 / cfg.step + 1e-9))
     s = np.minimum(np.arange(count + 1) * cfg.step, 1.0)
     if s[-1] < 1.0 - 1e-12:
         s = np.append(s, 1.0)
     return _blend_search(stats1, stats2, priors, s, 1.0 - s,
-                         _weighted_threshold, s[:, None])
+                         _weighted_threshold)
 
 
 def train_rhld1(stats1: ClassStats, stats2: ClassStats, priors: Priors,
                 config: SweepConfig | None = None
-                ) -> tuple[LinearDiscriminant, float, float]:
-    """Random search of the one-parameter blend family.
-
-    Draws s uniformly from s_range (all draws generated up front from the
-    seed), solves [s C2 + (1-s) C1] w = mean1 - mean2, and pairs it with
-    the variance-weighted threshold in the same blend convention,
-    [(1-s) mu2 var1 + s mu1 var2] / [(1-s) var1 + s var2]. Ties keep the
-    earliest draw. Returns (rule, error, best s).
-    """
+                ) -> tuple[LinearDiscriminant, float, tuple[float, float]]:
+    """Random search of the blends (1-s, s) for s drawn uniformly from
+    s_range (all draws up front from the seed), with the variance-weighted
+    threshold. Ties keep the earliest draw."""
     cfg = config or SweepConfig()
     s = np.random.default_rng(cfg.seed).uniform(*cfg.s_range, cfg.trials)
     return _blend_search(stats1, stats2, priors, 1.0 - s, s,
-                         _weighted_threshold, s[:, None])
+                         _weighted_threshold)
 
 
 def train_rhld2(stats1: ClassStats, stats2: ClassStats, priors: Priors,
                 config: SweepConfig | None = None
-                ) -> tuple[LinearDiscriminant, float, float, float]:
-    """Random search of the two-parameter blend family.
-
-    Draws (s1, s2) uniformly from s_range^2, solves [s1 C1 + s2 C2] w =
-    mean1 - mean2, and keeps the best of three thresholds: mu1 - s1 var1,
-    mu2 + s2 var2 and their midpoint. (For an exact blend solve the first
-    two coincide; they differ only under the least-squares fallback.)
-    Returns (rule, error, best s1, best s2).
-    """
+                ) -> tuple[LinearDiscriminant, float, tuple[float, float]]:
+    """Random search of the blends (s1, s2) drawn uniformly from s_range^2,
+    keeping the best of three thresholds: mu1 - s1 var1, mu2 + s2 var2 and
+    their midpoint. (For an exact blend solve the first two coincide; they
+    differ only under the least-squares fallback.)"""
     cfg = config or SweepConfig()
     draws = np.random.default_rng(cfg.seed).uniform(*cfg.s_range,
                                                     (cfg.trials, 2))
     return _blend_search(stats1, stats2, priors, draws[:, 0], draws[:, 1],
-                         _three_thresholds, draws)
+                         _three_thresholds)

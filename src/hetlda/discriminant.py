@@ -40,13 +40,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _class_names(names) -> tuple[str, ...]:
+    # only a list or tuple of str: a str would split into its characters
+    if not (isinstance(names, (list, tuple))
+            and all(isinstance(n, str) for n in names)):
+        raise ValueError(f"class names {names!r} are not a list of strings")
+    return tuple(names)
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Feature matrix with dense integer labels.
 
     labels take values in [0, K) where K = max(label)+1; class_names, when
-    given, has exactly K entries and names class k at index k. Arrays are
-    normalized to float64/int64 and marked read-only.
+    given, is a list or tuple of exactly K strings and names class k at
+    index k. Arrays are normalized to float64/int64 and marked read-only.
     """
 
     features: np.ndarray
@@ -79,7 +87,7 @@ class LabeledDataset:
         object.__setattr__(self, "features", _readonly(x))
         object.__setattr__(self, "labels", _readonly(y))
         if self.class_names is not None:
-            names = tuple(str(n) for n in self.class_names)
+            names = _class_names(self.class_names)
             if len(names) != self.n_classes:
                 raise DimensionMismatch(
                     f"{len(names)} class names for {self.n_classes} classes")
@@ -283,11 +291,14 @@ def training_error_count(disc: LinearDiscriminant, data: LabeledDataset,
 def _class_pair(data: LabeledDataset, class_a: int | None,
                 class_b: int | None) -> tuple[int, int]:
     # (class_a, class_b) as given, or the two labels present in data,
-    # smaller first, when either is None
+    # smaller first, when either is None; found from the label range and
+    # counts, since np.unique would sort a copy of the labels
     if class_a is None or class_b is None:
-        present = np.unique(data.labels)
-        if present.size != 2:
+        labels = data.labels
+        class_a, class_b = int(labels.min()), int(labels.max())
+        if class_a == class_b or np.any((labels != class_a)
+                                        & (labels != class_b)):
             raise DimensionMismatch(
-                f"dataset has {present.size} classes; pass class_a/class_b explicitly")
-        class_a, class_b = int(present[0]), int(present[1])
+                f"dataset has {np.unique(labels).size} classes; pass "
+                "class_a/class_b explicitly")
     return class_a, class_b

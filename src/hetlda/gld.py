@@ -18,11 +18,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .baselines import _pooled_direction
 from .discriminant import (ClassStats, LinearDiscriminant, Priors,
                            ProjectedStats, _gradient, bayes_error,
                            project_stats)
 from .errors import (ComplexRoot, DegenerateProjection, Indeterminate,
-                     SingularUpdate, ZeroDirection)
+                     SingularUpdate)
 from .numkit import solve_symmetric
 
 __all__ = [
@@ -141,15 +142,8 @@ def second_order_holds(proj: ProjectedStats,
 
 def fisher_init(stats1: ClassStats, stats2: ClassStats) -> np.ndarray:
     """Fisher direction: (n1 C1 + n2 C2) w = mean1 - mean2."""
-    pooled = stats1.count * stats1.cov + stats2.count * stats2.cov
-    diff = stats1.mean - stats2.mean
-    if not np.any(diff):
-        raise ZeroDirection("class means are identical")
-    w = solve_symmetric(pooled, diff)
-    if not np.any(w):
-        raise ZeroDirection("mean difference is orthogonal to the pooled "
-                            "covariance range")
-    return w
+    return _pooled_direction(
+        stats1.count * stats1.cov + stats2.count * stats2.cov, stats1, stats2)
 
 
 def update_weights(stats1: ClassStats, stats2: ClassStats,
@@ -163,8 +157,8 @@ def update_weights(stats1: ClassStats, stats2: ClassStats,
 
 
 def recover_s(proj: ProjectedStats) -> float:
-    """Blend parameter locating the stationary rule inside the
-    one-parameter covariance-average family; unbounded in general."""
+    """The s whose blend (s, 1-s), the family chld searches, gives the
+    stationary rule's direction; unbounded in general."""
     denom = proj.sigma1 * proj.z2 - proj.sigma2 * proj.z1
     if denom == 0.0:
         raise Indeterminate("sigma1 z2 == sigma2 z1")

@@ -32,20 +32,15 @@ def make_trainer(name: str,
     def trainer(data: LabeledDataset, class_a: int, class_b: int
                 ) -> tuple[LinearDiscriminant, float]:
         stats1, stats2, priors = compute_class_stats(data, class_a, class_b)
+        # looked up per call, so that trainers patched later still apply
         if name == "lda":
-            return train_lda(stats1, stats2, priors)
-        if name == "chld":
-            disc, p_e, _s = train_chld(stats1, stats2, priors, sweep_config)
-            return disc, p_e
-        if name == "rhld1":
-            disc, p_e, _s = train_rhld1(stats1, stats2, priors, sweep_config)
-            return disc, p_e
-        if name == "rhld2":
-            disc, p_e, _s1, _s2 = train_rhld2(stats1, stats2, priors,
-                                              sweep_config)
-            return disc, p_e
-        disc, p_e, _trace = train_gld(stats1, stats2, priors, gld_config)
-        if name == "gld":
+            disc, p_e, _info = train_lda(stats1, stats2, priors)
+        elif name in ("gld", "gld-lns"):
+            disc, p_e, _info = train_gld(stats1, stats2, priors, gld_config)
+        else:
+            disc, p_e, _info = globals()[f"train_{name}"](
+                stats1, stats2, priors, sweep_config)
+        if name != "gld-lns":
             return disc, p_e
         refined, error_count = local_neighbourhood_search(
             disc, data, lns_config, class_a=class_a, class_b=class_b)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .discriminant import LabeledDataset, LinearDiscriminant
-from .errors import ParseError, VersionMismatch
+from .errors import DimensionMismatch, ParseError, VersionMismatch
 from .multiclass import OvoModel
 
 __all__ = ["FORMAT_VERSION", "dataset_hash", "save_model", "load_model"]
@@ -83,14 +83,15 @@ def load_model(path: str) -> tuple[OvoModel, str, dict]:
         model = OvoModel(pairs, _integer(document, "n_classes"),
                          document["class_names"])
         method, metadata = document["method"], document.get("metadata", {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (DimensionMismatch, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model file: {exc}") from None
     for _a, _b, disc, p_e in pairs:
         if not (np.all(np.isfinite(disc.w)) and math.isfinite(disc.w0)
                 and math.isfinite(p_e)):
             raise ParseError("malformed model file: non-finite weight, "
                              "threshold or error")
-    if len({disc.w.shape for _a, _b, disc, _p_e in pairs}) > 1:
-        raise ParseError("malformed model file: pairs have weight vectors "
-                         "of different lengths")
+    shapes = {disc.w.shape for _a, _b, disc, _p_e in pairs}
+    if len(shapes) > 1 or (0,) in shapes:
+        raise ParseError("malformed model file: weight vectors are empty "
+                         "or of different lengths")
     return model, method, metadata

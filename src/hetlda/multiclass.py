@@ -12,7 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from .discriminant import LabeledDataset, LinearDiscriminant, decision_values
+from .discriminant import (LabeledDataset, LinearDiscriminant, _class_names,
+                           decision_values)
 from .errors import EmptyClass
 
 __all__ = ["BinaryTrainer", "OvoModel", "train_ovo", "predict_ovo",
@@ -38,7 +39,6 @@ class OvoModel:
         k = self.n_classes
         if k < 2:
             raise ValueError(f"need at least two classes, got {k}")
-        expected = {(a, b) for a in range(k) for b in range(a + 1, k)}
         seen = set()
         for a, b, _disc, p_e in self.pairs:
             if not 0 <= a < b < k:
@@ -47,17 +47,13 @@ class OvoModel:
                 raise ValueError(f"pair ({a}, {b}) has error {p_e} "
                                  "outside [0, 1]")
             seen.add((a, b))
-        if seen != expected or len(self.pairs) != len(expected):
+        # K(K-1)/2 valid, distinct pairs cover them all; the full pair set
+        # is never built, because K may come from an untrusted model file
+        if not len(seen) == len(self.pairs) == k * (k - 1) // 2:
             raise ValueError("pairs must cover every unordered class pair "
                              "exactly once")
         if self.class_names is not None:
-            names = self.class_names
-            # a str would split into its characters
-            if not (isinstance(names, (list, tuple))
-                    and all(isinstance(n, str) for n in names)):
-                raise ValueError(f"class names {names!r} are not a list of "
-                                 "strings")
-            names = tuple(names)
+            names = _class_names(self.class_names)
             if len(names) != k:
                 raise ValueError(f"{len(names)} class names for {k} classes")
             object.__setattr__(self, "class_names", names)

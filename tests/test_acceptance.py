@@ -191,7 +191,7 @@ def test_criterion_4_stationarity_and_orderings():
         grad_w, grad_w0 = gradient_bayes_error(disc, s1, s2, priors)
         norm = math.hypot(float(np.linalg.norm(grad_w)), grad_w0)
         stationary = norm <= 1e-6 or len(trace.records) <= 21
-        _, pe_lda = train_lda(s1, s2, priors)
+        _, pe_lda, _ = train_lda(s1, s2, priors)
         ordered = pe <= pe_lda and pe <= trace.records[0].p_e
         ok = ok and stationary and ordered
         parts.append(f"{name}: grad {norm:.1e}, pe {pe:.6f} <= "

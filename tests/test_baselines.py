@@ -55,7 +55,7 @@ class TestTrainLda:
     def test_symmetric_homoscedastic(self):
         s1, s2, priors = balanced([1.0, 0.0], np.eye(2),
                                   [-1.0, 0.0], np.eye(2))
-        disc, pe = train_lda(s1, s2, priors)
+        disc, pe, _ = train_lda(s1, s2, priors)
         assert disc.w[0] > 0 and disc.w[1] == 0.0
         assert disc.w0 == 0.0
         assert_allclose(pe, Q_AT_1, rtol=1e-12)
@@ -65,13 +65,13 @@ class TestTrainLda:
         for _ in range(10):
             d = int(rng.integers(1, 5))
             s1, s2, _ = random_stats(rng, d)
-            disc, _ = train_lda(s1, s2, Priors(0.5, 0.5))
+            disc, _, _ = train_lda(s1, s2, Priors(0.5, 0.5))
             assert_allclose(disc.w0, 0.5 * (s1.mean + s2.mean) @ disc.w,
                             rtol=1e-10)
 
     def test_never_beats_fixed_point_on_reference_parameters(self):
         s1, s2, priors = d1_population()
-        _, pe_lda = train_lda(s1, s2, priors)
+        _, pe_lda, _ = train_lda(s1, s2, priors)
         _, pe_gld, _ = train_gld(s1, s2, priors)
         assert pe_lda >= pe_gld - 1e-12
 
@@ -89,7 +89,7 @@ class TestTrainChld:
         s1, s2, priors = balanced(rng.normal(0, 2, 3), cov,
                                   rng.normal(0, 2, 3), cov)
         disc, pe, _ = train_chld(s1, s2, priors, SweepConfig(step=0.05))
-        _, pe_lda = train_lda(s1, s2, priors)
+        _, pe_lda, _ = train_lda(s1, s2, priors)
         assert abs(pe - pe_lda) <= 1e-10
 
     def test_grid_size_and_tie_policy(self, monkeypatch):
@@ -107,9 +107,9 @@ class TestTrainChld:
         monkeypatch.setattr(hetlda.baselines, "bayes_error",
                             lambda proj, priors: 0.3)
         s1, s2, priors = balanced([1.0], [[1.0]], [-1.0], [[4.0]])
-        _, pe, best_s = train_chld(s1, s2, priors, SweepConfig(step=0.5))
+        _, pe, info = train_chld(s1, s2, priors, SweepConfig(step=0.5))
         assert grids[0] == ([0.0, 0.5, 1.0], [1.0, 0.5, 0.0])
-        assert best_s == 0.0 and pe == 0.3   # all tied: smallest s kept
+        assert info[0] == 0.0 and pe == 0.3   # all tied: smallest s kept
         train_chld(s1, s2, priors, SweepConfig(step=0.3))
         assert grids[1][0] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0],
                                             abs=1e-12)
@@ -143,9 +143,9 @@ class TestTrainRhld1:
         s1, s2, priors = balanced(rng.normal(0, 2, 2), cov,
                                   rng.normal(0, 2, 2), cov)
         cfg = SweepConfig(trials=1, s_range=(0.5, 0.5))
-        disc, pe, best_s = train_rhld1(s1, s2, priors, cfg)
-        lda_disc, pe_lda = train_lda(s1, s2, priors)
-        assert best_s == 0.5
+        disc, pe, info = train_rhld1(s1, s2, priors, cfg)
+        lda_disc, pe_lda, _ = train_lda(s1, s2, priors)
+        assert info[1] == 0.5
         assert np.array_equal(disc.w, lda_disc.w)
         assert_allclose(disc.w0, lda_disc.w0, rtol=1e-12)
         assert_allclose(pe, pe_lda, rtol=1e-12)
@@ -184,8 +184,8 @@ class TestTrainRhld2:
         scaled = train_rhld2(s1, s2, priors,
                              SweepConfig(trials=50, s_range=(0.5, 4.0)))
         assert abs(base[1] - scaled[1]) <= 1e-12
-        assert_allclose(scaled[2], 2 * base[2], rtol=1e-15)
-        assert_allclose(scaled[3], 2 * base[3], rtol=1e-15)
+        assert_allclose(scaled[2][0], 2 * base[2][0], rtol=1e-15)
+        assert_allclose(scaled[2][1], 2 * base[2][1], rtol=1e-15)
         points = np.random.default_rng(0).normal(0, 3, (200, 4))
         assert np.array_equal(decision_values(base[0], points) >= 0,
                               decision_values(scaled[0], points) >= 0)
@@ -201,7 +201,7 @@ class TestTrainRhld2:
 
     def test_dense_search_matches_fixed_point_on_d2(self):
         s1, s2, priors = d2_population()
-        _, pe, _, _ = train_rhld2(s1, s2, priors, SweepConfig(trials=1000))
+        _, pe, _ = train_rhld2(s1, s2, priors, SweepConfig(trials=1000))
         _, pe_gld, _ = train_gld(s1, s2, priors)
         assert abs(pe - pe_gld) <= 5e-4
 
@@ -212,7 +212,7 @@ class TestCommonGuarantees:
         cfg = SweepConfig(step=0.05, trials=50)
         for _ in range(6):
             s1, s2, priors = random_stats(rng, int(rng.integers(1, 4)))
-            results = [train_lda(s1, s2, priors),
+            results = [train_lda(s1, s2, priors)[:2],
                        train_chld(s1, s2, priors, cfg)[:2],
                        train_rhld1(s1, s2, priors, cfg)[:2],
                        train_rhld2(s1, s2, priors, cfg)[:2]]
@@ -220,6 +220,20 @@ class TestCommonGuarantees:
                 assert np.linalg.norm(disc.w) > 0
                 assert math.isfinite(disc.w0)
                 assert 0.0 <= pe <= 0.5 + 1e-12
+
+    def test_info_is_the_blend_the_direction_solves(self):
+        rng = np.random.default_rng(29)
+        cfg = SweepConfig(step=0.05, trials=50)
+        for _ in range(6):
+            s1, s2, priors = random_stats(rng, int(rng.integers(1, 5)))
+            fits = [train_lda(s1, s2, priors)]
+            fits += [search(s1, s2, priors, cfg)
+                     for search in TRAINERS.values()]
+            assert fits[0][2] == (priors.pi1, priors.pi2)
+            for disc, _pe, (t1, t2) in fits:
+                w = solve_symmetric(t1 * s1.cov + t2 * s2.cov,
+                                    s1.mean - s2.mean)
+                assert np.array_equal(disc.w, w)
 
 
 def reference_search(method, stats1, stats2, priors, cfg):
@@ -283,9 +297,10 @@ class TestBlendEngine:
     def assert_matches_loop(self, stats1, stats2, priors, cfg,
                             methods=TRAINERS):
         for method in methods:
-            disc, pe, *params = TRAINERS[method](stats1, stats2, priors, cfg)
+            disc, pe, info = TRAINERS[method](stats1, stats2, priors, cfg)
             ref = reference_search(method, stats1, stats2, priors, cfg)
-            assert params == list(ref[2:]), method
+            params = {"chld": info[:1], "rhld1": info[1:], "rhld2": info}
+            assert list(params[method]) == list(ref[2:]), method
             assert abs(pe - ref[1]) <= 1e-12, method
             # ref[0].w is solve_symmetric on the winning blend
             assert np.array_equal(disc.w, ref[0].w) and disc.w0 == ref[0].w0
@@ -337,7 +352,7 @@ class TestBlendEngine:
                                   [0.0, 0.0], np.eye(2))
         cfg = SweepConfig(trials=1, s_range=(2.0, 2.0))
         calls = self.count_solves(monkeypatch)
-        disc, _, best_s = train_rhld1(s1, s2, priors, cfg)
-        assert best_s == 2.0 and len(calls) == 2
+        disc, _, info = train_rhld1(s1, s2, priors, cfg)
+        assert info[1] == 2.0 and len(calls) == 2
         assert disc.w[0] == 0.0 and disc.w[1] != 0.0
         self.assert_matches_loop(s1, s2, priors, cfg, methods=["rhld1"])

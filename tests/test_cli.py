@@ -218,6 +218,19 @@ class TestPredict:
             assert code == 1 and stderr.startswith("error: malformed")
             assert "predictions" not in stdout
 
+    def test_malformed_weight_vectors_exit_one(self, tmp_path, capsys):
+        _, model_path = self.fitted(tmp_path, capsys, method="lda")
+        document = json.loads(Path(model_path).read_text())
+        data = small_csv(tmp_path)
+        broken = tmp_path / "w.json"
+        for w in ([[1.0, 1.0]], []):
+            document["pairs"][0]["w"] = w
+            broken.write_text(json.dumps(document))
+            code, stdout, stderr = run(capsys, "predict", str(broken), data,
+                                       "--out", str(tmp_path / "p.txt"))
+            assert code == 1 and stderr.startswith("error: malformed"), w
+            assert "predictions" not in stdout
+
     def test_non_string_class_names_exit_one(self, tmp_path, capsys):
         _, model_path = self.fitted(tmp_path, capsys, method="lda")
         document = json.loads(Path(model_path).read_text())

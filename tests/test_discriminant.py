@@ -65,6 +65,13 @@ class TestLabeledDataset:
         with pytest.raises(DimensionMismatch):
             LabeledDataset([[1.0], [2.0]], [0, 1], ("only-one",))
 
+    def test_class_names_must_be_strings(self):
+        for names in ("ab", [1, 2], ("a", None)):
+            with pytest.raises(ValueError, match="not a list of strings"):
+                LabeledDataset([[1.0], [2.0]], [0, 1], names)
+        data = LabeledDataset([[1.0], [2.0]], [0, 1], ["a", "b"])
+        assert data.class_names == ("a", "b")
+
     def test_subset_preserves_labels_and_names(self):
         data = LabeledDataset([[1.0], [2.0], [3.0]], [0, 1, 1], ("a", "b"))
         sub = data.subset(np.array([2, 0]))

@@ -192,7 +192,7 @@ class TestTrainGld:
         for pop in (d1_population(), d2_population()):
             s1, s2, priors = pop
             _, pe_gld, _ = train_gld(s1, s2, priors)
-            _, pe_lda = train_lda(s1, s2, priors)
+            _, pe_lda, _ = train_lda(s1, s2, priors)
             assert pe_gld <= pe_lda + 1e-12
 
     def test_homoscedastic_fixed_point(self):

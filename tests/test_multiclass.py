@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,19 @@ class TestOvoModel:
                       (1, 2, disc, 0.1)), 3)           # duplicate
         with pytest.raises(ValueError):
             OvoModel(((1, 0, disc, 0.1),), 2)          # a >= b
+
+    def test_pair_count_checked_without_listing_every_pair(self):
+        # one pair under a claimed 2000 classes: listing all 1999000
+        # expected pairs first took over 200 MB
+        disc = LinearDiscriminant(np.array([1.0]), 0.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exactly once"):
+                OvoModel(((0, 1, disc, 0.1),), 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
 
     def test_fewer_than_two_classes_rejected(self):
         for k in (1, 0, -1):
