@@ -131,7 +131,7 @@ def cmd_predict(args) -> int:
     else:
         features = load_matrix_csv(args.data, has_header=args.header)
     predicted = predict_ovo_batch(model, features)
-    names = model.class_names or tuple(str(k) for k in range(model.n_classes))
+    names = model.class_names
     with open(args.out, "w") as handle:
         for label in predicted:
             handle.write(names[label] + "\n")

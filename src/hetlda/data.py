@@ -64,29 +64,35 @@ def _read(path: str, has_header: bool, label_column: int | None
     """The feature matrix and the stripped label cells of a file, read in
     one pass: each non-empty row is width-checked and parsed as it
     arrives, so an error locates the first fault in file order. With
-    label_column None every cell is a feature."""
+    label_column None every cell is a feature. A row the csv module
+    cannot split (a cell past its field size limit) is a ParseError."""
     values = array("d")
     labels = []
     width = col = None
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         rows = (row for row in reader if row)
-        if has_header:
-            next(rows, None)
-        for row in rows:
-            line = reader.line_num
-            if width is None:
-                width = len(row)
-                if label_column is not None:
-                    col = _label_index(width, label_column)
-            elif len(row) != width:
-                raise InconsistentWidth(
-                    f"{len(row)} cells, expected {width}", row=line)
-            for c, cell in enumerate(row):
-                if c == col:
-                    labels.append(cell.strip())
-                else:
-                    values.append(_parse_feature(cell.strip(), line, c + 1))
+        try:
+            if has_header:
+                next(rows, None)
+            for row in rows:
+                line = reader.line_num
+                if width is None:
+                    width = len(row)
+                    if label_column is not None:
+                        col = _label_index(width, label_column)
+                elif len(row) != width:
+                    raise InconsistentWidth(
+                        f"{len(row)} cells, expected {width}", row=line)
+                for c, cell in enumerate(row):
+                    if c == col:
+                        labels.append(cell.strip())
+                    else:
+                        values.append(
+                            _parse_feature(cell.strip(), line, c + 1))
+        except csv.Error as exc:
+            raise ParseError(f"unreadable row: {exc}",
+                             row=reader.line_num) from None
     if width is None:
         raise ParseError("no data rows")
     return np.frombuffer(values).reshape(-1, width - (col is not None)), labels
@@ -163,8 +169,8 @@ def _population(mean2: np.ndarray, var2: np.ndarray, shift: float,
     n1, n2 = counts
     n = n1 + n2
     d = mean2.shape[0]
-    stats1 = ClassStats(mean2 - shift, np.eye(d), n1, n1 / n)
-    stats2 = ClassStats(mean2, np.diag(var2), n2, n2 / n)
+    stats1 = ClassStats(mean2 - shift, np.eye(d), n1)
+    stats2 = ClassStats(mean2, np.diag(var2), n2)
     return stats1, stats2, Priors(n1 / n, n2 / n)
 
 

@@ -40,11 +40,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _class_names(names) -> tuple[str, ...]:
-    # only a list or tuple of str: a str would split into its characters
+def _class_names(names, k: int, mismatch: type) -> tuple[str, ...]:
+    # ("0", ..., "k-1") for None, else a list or tuple of k str (a str
+    # would split into its characters); another count raises mismatch
+    if names is None:
+        return tuple(str(label) for label in range(k))
     if not (isinstance(names, (list, tuple))
             and all(isinstance(n, str) for n in names)):
         raise ValueError(f"class names {names!r} are not a list of strings")
+    if len(names) != k:
+        raise mismatch(f"{len(names)} class names for {k} classes")
     return tuple(names)
 
 
@@ -52,9 +57,10 @@ def _class_names(names) -> tuple[str, ...]:
 class LabeledDataset:
     """Feature matrix with dense integer labels.
 
-    labels take values in [0, K) where K = max(label)+1; class_names, when
-    given, is a list or tuple of exactly K strings and names class k at
-    index k. Arrays are normalized to float64/int64 and marked read-only.
+    labels take values in [0, K) where K = max(label)+1; class_names is a
+    list or tuple of exactly K strings and names class k at index k,
+    ("0", ..., "K-1") when not given. Arrays are normalized to
+    float64/int64 and marked read-only.
     """
 
     features: np.ndarray
@@ -86,12 +92,8 @@ class LabeledDataset:
             raise ValueError("labels must be non-negative")
         object.__setattr__(self, "features", _readonly(x))
         object.__setattr__(self, "labels", _readonly(y))
-        if self.class_names is not None:
-            names = _class_names(self.class_names)
-            if len(names) != self.n_classes:
-                raise DimensionMismatch(
-                    f"{len(names)} class names for {self.n_classes} classes")
-            object.__setattr__(self, "class_names", names)
+        object.__setattr__(self, "class_names", _class_names(
+            self.class_names, int(y.max()) + 1, DimensionMismatch))
 
     @property
     def n_samples(self) -> int:
@@ -103,7 +105,7 @@ class LabeledDataset:
 
     @property
     def n_classes(self) -> int:
-        return int(self.labels.max()) + 1
+        return len(self.class_names)
 
     def class_indices(self, label: int) -> np.ndarray:
         return np.flatnonzero(self.labels == label)
@@ -118,10 +120,9 @@ class LabeledDataset:
         # copies, so the new dataset may keep them without another one.
         features.setflags(write=False)
         labels.setflags(write=False)
-        names = self.class_names
-        if names is not None and labels.size:
-            names = names[: int(labels.max()) + 1]
-        return LabeledDataset(features, labels, names)
+        # initial=-1: an empty subset still fails the "no rows" check
+        top = int(labels.max(initial=-1))
+        return LabeledDataset(features, labels, self.class_names[:top + 1])
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,6 @@ class ClassStats:
     mean: np.ndarray
     cov: np.ndarray
     count: int
-    prior: float
 
     def __post_init__(self):
         object.__setattr__(self, "mean", _readonly(np.asarray(self.mean, float)))
@@ -192,7 +192,9 @@ def compute_class_stats(data: LabeledDataset, class_a: int,
     """Moments and priors for the two named classes.
 
     Priors come from the relative counts of the two classes alone. Each
-    class must contribute at least two samples.
+    class must contribute at least two samples, and its moments must be
+    finite: features too large to square raise DegenerateProjection,
+    since no projection of an infinite covariance has a finite spread.
     """
     moments = []
     for label in (class_a, class_b):
@@ -201,12 +203,17 @@ def compute_class_stats(data: LabeledDataset, class_a: int,
             raise EmptyClass(
                 f"class {label} has {idx.size} sample(s); at least 2 required")
         rows = data.features[idx]
-        m = mean_vector(rows)
-        moments.append((m, covariance_matrix(rows, m), idx.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = mean_vector(rows)
+            cov = covariance_matrix(rows, m)
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(cov))):
+            raise DegenerateProjection(
+                f"class {label} moments overflow: the mean or covariance "
+                "is not finite")
+        moments.append((m, cov, idx.size))
     (m1, c1, n1), (m2, c2, n2) = moments
     priors = Priors(n1 / (n1 + n2), n2 / (n1 + n2))
-    return (ClassStats(m1, c1, n1, priors.pi1),
-            ClassStats(m2, c2, n2, priors.pi2), priors)
+    return ClassStats(m1, c1, n1), ClassStats(m2, c2, n2), priors
 
 
 def project_stats(disc: LinearDiscriminant, stats1: ClassStats,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 
 import numpy as np
 
@@ -36,7 +35,7 @@ def save_model(path: str, model: OvoModel, method: str,
         "format_version": FORMAT_VERSION,
         "method": method,
         "n_classes": model.n_classes,
-        "class_names": list(model.class_names) if model.class_names else None,
+        "class_names": list(model.class_names),
         "pairs": [
             {"class_a": a, "class_b": b, "w": [float(v) for v in disc.w],
              "w0": disc.w0, "p_e": p_e}
@@ -49,22 +48,14 @@ def save_model(path: str, model: OvoModel, method: str,
         handle.write("\n")
 
 
-def _integer(document: dict, key: str) -> int:
-    # JSON true and 0.0 compare equal to integers but cannot size or
-    # index the vote table, so only a plain integer is accepted.
-    value = document[key]
-    if type(value) is not int:
-        raise ParseError(f"malformed model file: {key} {value!r} is not "
-                         "an integer")
-    return value
-
-
 def load_model(path: str) -> tuple[OvoModel, str, dict]:
-    """Read a model file; returns (model, method name, metadata)."""
+    """Read a model file; returns (model, method name, metadata). A null
+    class_names, as older files may hold, gives the default names."""
     with open(path) as handle:
         try:
             document = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the decoder can follow
             raise ParseError(f"model file is not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise ParseError("malformed model file: not a JSON object")
@@ -74,24 +65,13 @@ def load_model(path: str) -> tuple[OvoModel, str, dict]:
             f"model format version {version!r}, this build reads "
             f"{FORMAT_VERSION}")
     try:
-        pairs = tuple(
-            (_integer(entry, "class_a"), _integer(entry, "class_b"),
-             LinearDiscriminant(np.array(entry["w"], dtype=float),
-                                float(entry["w0"])),
-             float(entry["p_e"]))
-            for entry in document["pairs"])
-        model = OvoModel(pairs, _integer(document, "n_classes"),
+        pairs = [(entry["class_a"], entry["class_b"],
+                  LinearDiscriminant(np.array(entry["w"], dtype=float),
+                                     float(entry["w0"])),
+                  float(entry["p_e"]))
+                 for entry in document["pairs"]]
+        model = OvoModel(pairs, document["n_classes"],
                          document["class_names"])
-        method, metadata = document["method"], document.get("metadata", {})
+        return model, document["method"], document.get("metadata", {})
     except (DimensionMismatch, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model file: {exc}") from None
-    for _a, _b, disc, p_e in pairs:
-        if not (np.all(np.isfinite(disc.w)) and math.isfinite(disc.w0)
-                and math.isfinite(p_e)):
-            raise ParseError("malformed model file: non-finite weight, "
-                             "threshold or error")
-    shapes = {disc.w.shape for _a, _b, disc, _p_e in pairs}
-    if len(shapes) > 1 or (0,) in shapes:
-        raise ParseError("malformed model file: weight vectors are empty "
-                         "or of different lengths")
-    return model, method, metadata

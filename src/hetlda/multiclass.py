@@ -26,9 +26,18 @@ BinaryTrainer = Callable[[LabeledDataset, int, int],
                          tuple[LinearDiscriminant, float]]
 
 
+def _integer(name: str, value) -> int:
+    # True and 2.0 equal integers but cannot size or index the vote table
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class OvoModel:
-    """All K(K-1)/2 pairwise rules with their error estimates; K >= 2."""
+    """All K(K-1)/2 pairwise rules with their error estimates; K >= 2,
+    int class indices, finite rules whose w share one non-empty length,
+    and class_names ("0", ..., "K-1") unless given."""
 
     pairs: tuple[tuple[int, int, LinearDiscriminant, float], ...]
     n_classes: int
@@ -36,27 +45,32 @@ class OvoModel:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
-        k = self.n_classes
+        k = _integer("n_classes", self.n_classes)
         if k < 2:
             raise ValueError(f"need at least two classes, got {k}")
         seen = set()
-        for a, b, _disc, p_e in self.pairs:
-            if not 0 <= a < b < k:
+        for a, b, disc, p_e in self.pairs:
+            if not 0 <= _integer("class_a", a) < _integer("class_b", b) < k:
                 raise ValueError(f"invalid class pair ({a}, {b})")
             if not 0.0 <= p_e <= 1.0:
                 raise ValueError(f"pair ({a}, {b}) has error {p_e} "
                                  "outside [0, 1]")
+            if not (np.all(np.isfinite(disc.w)) and np.isfinite(disc.w0)):
+                raise ValueError(f"pair ({a}, {b}) has a non-finite weight "
+                                 "or threshold")
             seen.add((a, b))
-        # K(K-1)/2 valid, distinct pairs cover them all; the full pair set
-        # is never built, because K may come from an untrusted model file
+        # K(K-1)/2 valid, distinct pairs cover them all; neither the full
+        # pair set nor the default names are built before this check,
+        # because K may come from an untrusted model file
         if not len(seen) == len(self.pairs) == k * (k - 1) // 2:
             raise ValueError("pairs must cover every unordered class pair "
                              "exactly once")
-        if self.class_names is not None:
-            names = _class_names(self.class_names)
-            if len(names) != k:
-                raise ValueError(f"{len(names)} class names for {k} classes")
-            object.__setattr__(self, "class_names", names)
+        lengths = {disc.w.shape[0] for _a, _b, disc, _p_e in self.pairs}
+        if len(lengths) != 1 or 0 in lengths:
+            raise ValueError("weight vectors are empty or of different "
+                             "lengths")
+        object.__setattr__(self, "class_names",
+                           _class_names(self.class_names, k, ValueError))
 
     @property
     def mean_p_e(self) -> float:

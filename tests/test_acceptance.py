@@ -9,13 +9,15 @@ from scipy import special
 
 from hetlda import (ClassStats, ComplexRoot, CvPlan, GldConfig,
                     LabeledDataset, LinearDiscriminant, LnsConfig, OvoModel,
-                    Priors, ProjectedStats, bayes_error, compute_class_stats,
+                    Priors, bayes_error, compute_class_stats,
                     d1_population, d2_population, generate_d1, generate_d2,
                     gradient_bayes_error, load_model, local_neighbourhood_search,
                     make_trainer, predict_ovo, predict_ovo_batch,
                     run_benchmark, save_model, second_order_holds,
                     solve_threshold, threshold_roots, train_chld, train_gld,
                     train_lda, train_ovo, train_rhld1, training_error_count)
+
+from helpers import proj_for
 
 
 def report(num, ok, detail, elapsed=None, budget=None):
@@ -25,12 +27,6 @@ def report(num, ok, detail, elapsed=None, budget=None):
     line = f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}"
     print("\n" + line)
     assert ok, line
-
-
-def proj_for(mu1, mu2, var1, var2, w0):
-    return ProjectedStats(mu1, mu2, var1, var2,
-                          (w0 - mu1) / math.sqrt(var1),
-                          (w0 - mu2) / math.sqrt(var2))
 
 
 def test_criterion_1_root_selection():
@@ -67,8 +63,8 @@ def _random_instance(rng):
 
     n1, n2 = int(rng.integers(50, 200)), int(rng.integers(50, 200))
     n = n1 + n2
-    s1 = ClassStats(rng.normal(0, 2, d), spd(), n1, n1 / n)
-    s2 = ClassStats(rng.normal(0, 2, d), spd(), n2, n2 / n)
+    s1 = ClassStats(rng.normal(0, 2, d), spd(), n1)
+    s2 = ClassStats(rng.normal(0, 2, d), spd(), n2)
     priors = Priors(n1 / n, n2 / n)
     w = rng.normal(0, 1, d)
     alpha = float(rng.uniform(0.25, 0.75))

@@ -5,30 +5,22 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hetlda.baselines
-from hetlda import (ClassStats, DegenerateProjection, LinearDiscriminant,
-                    Priors, SweepConfig, ZeroDirection, bayes_error,
-                    d1_population, d2_population, decision_values,
+from hetlda import (ClassStats, DegenerateProjection, LabeledDataset,
+                    LinearDiscriminant, Priors, SweepConfig, ZeroDirection,
+                    bayes_error, compute_class_stats, d1_population,
+                    d2_population, decision_values, generate_d2,
                     project_stats, solve_symmetric, train_chld, train_gld,
                     train_lda, train_rhld1, train_rhld2)
+
+from helpers import random_stats
 
 Q_AT_1 = 0.15865525393145707
 
 
 def balanced(mean1, cov1, mean2, cov2, n=10):
-    s1 = ClassStats(np.asarray(mean1, float), np.asarray(cov1, float), n, 0.5)
-    s2 = ClassStats(np.asarray(mean2, float), np.asarray(cov2, float), n, 0.5)
+    s1 = ClassStats(np.asarray(mean1, float), np.asarray(cov1, float), n)
+    s2 = ClassStats(np.asarray(mean2, float), np.asarray(cov2, float), n)
     return s1, s2, Priors(0.5, 0.5)
-
-
-def random_stats(rng, d):
-    def spd():
-        root = rng.standard_normal((d, d))
-        return root @ root.T + d * np.eye(d)
-    n1, n2 = int(rng.integers(50, 200)), int(rng.integers(50, 200))
-    n = n1 + n2
-    return (ClassStats(rng.normal(0, 2, d), spd(), n1, n1 / n),
-            ClassStats(rng.normal(0, 2, d), spd(), n2, n2 / n),
-            Priors(n1 / n, n2 / n))
 
 
 class TestSweepConfig:
@@ -204,6 +196,28 @@ class TestTrainRhld2:
         _, pe, _ = train_rhld2(s1, s2, priors, SweepConfig(trials=1000))
         _, pe_gld, _ = train_gld(s1, s2, priors)
         assert abs(pe - pe_gld) <= 5e-4
+
+
+class TestVanishingCovariances:
+    # features scaled by 1e-200 square to exact zeros: both class
+    # covariances vanish while the means still differ
+    def stats(self):
+        data = generate_d2(0)
+        return compute_class_stats(
+            LabeledDataset(data.features * 1e-200, data.labels), 0, 1)
+
+    def test_lda_has_no_direction(self):
+        s1, s2, priors = self.stats()
+        assert not np.any(s1.cov) and np.any(s1.mean - s2.mean)
+        with pytest.raises(ZeroDirection, match="pooled covariance range"):
+            train_lda(s1, s2, priors)
+
+    def test_blend_searches_have_no_usable_rule(self):
+        s1, s2, priors = self.stats()
+        cfg = SweepConfig(step=0.1, trials=20)
+        for train in (train_chld, train_rhld1, train_rhld2):
+            with pytest.raises(DegenerateProjection, match="no blend"):
+                train(s1, s2, priors, cfg)
 
 
 class TestCommonGuarantees:

@@ -123,6 +123,29 @@ class TestTrain:
                               "--out", str(tmp_path / "m.json"))
         assert code == 2 and "seed" in stderr
 
+    def test_cell_past_the_csv_field_limit_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text("1.0,0\n" + "1" * 200_000 + ",1\n3.0,1\n")
+        code, _, stderr = run(capsys, "train", "gld", str(data),
+                              "--label-col", "1",
+                              "--out", str(tmp_path / "m.json"))
+        assert code == 1 and stderr.startswith("error:")
+        assert "row 2" in stderr
+
+    def test_features_too_large_to_square_exit_one(self, tmp_path, capfd):
+        # the class covariances overflow; LAPACK used to get them and
+        # print DLASCL complaints on standard output
+        rng = np.random.default_rng(3)
+        data = str(tmp_path / "huge.csv")
+        save_csv(LabeledDataset(rng.normal(0, 1, (40, 3)) * 1e200,
+                                np.repeat([0, 1], 20)), data)
+        for method in ("lda", "chld", "gld"):
+            code = main(["train", method, data, "--label-col", "3",
+                         "--out", str(tmp_path / "m.json")])
+            stdout, stderr = capfd.readouterr()
+            assert code == 1 and stderr.startswith("error: class 0"), method
+            assert "DLASCL" not in stdout and "Warning" not in stderr
+
     def test_missing_data_file_exits_one(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "train", "gld",
                               str(tmp_path / "absent.csv"),
@@ -190,6 +213,15 @@ class TestPredict:
         code, _, _ = run(capsys, "predict", str(broken), data,
                          "--out", str(tmp_path / "p.txt"))
         assert code == 1
+
+    def test_deeply_nested_model_file_exits_one(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, stdout, stderr = run(capsys, "predict", str(deep),
+                                   small_csv(tmp_path),
+                                   "--out", str(tmp_path / "p.txt"))
+        assert code == 1 and "not valid JSON" in stderr
+        assert "predictions" not in stdout
 
     def test_non_finite_model_weight_exits_one(self, tmp_path, capsys):
         _, model_path = self.fitted(tmp_path, capsys, method="lda")
@@ -333,6 +365,12 @@ class TestBenchmark:
         with pytest.raises(SystemExit) as info:
             main(["benchmark", "d1", "--methods", "lda,svm"])
         assert info.value.code == 2
+
+    def test_empty_method_list_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["benchmark", "d1", "--methods", ","])
+        assert info.value.code == 2
+        assert "no methods given" in capsys.readouterr().err
 
     def test_infeasible_folds_exit_one(self, tmp_path, capsys):
         path = tmp_path / "six.csv"

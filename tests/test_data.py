@@ -56,6 +56,14 @@ class TestLoadCsv:
             load_csv(path, has_header=True)
         assert info.value.row == 2 and info.value.column == 2
 
+    def test_cell_past_the_csv_field_limit_located(self, tmp_path):
+        # the csv module refuses cells over 131072 characters
+        path = write(tmp_path, "1.0,0\n" + "1" * 200_000 + ",1\n3.0,1\n")
+        for load in (load_csv, load_matrix_csv):
+            with pytest.raises(ParseError, match="field limit") as info:
+                load(path)
+            assert info.value.row == 2
+
     def test_locations_count_blank_lines(self, tmp_path):
         path = write(tmp_path, "1.0,2.0,0\n\n3.0,x,1\n")
         for load in (load_csv, load_matrix_csv):

@@ -11,24 +11,15 @@ from hetlda import (ClassStats, DegenerateProjection, DimensionMismatch,
                     fisher_init, d2_population, project_stats,
                     training_error_count)
 
+from helpers import random_stats
+
 Q_AT_1 = 0.15865525393145707
 
 
 def one_dim_stats(mean1, var1, mean2, var2, n1=10, n2=10):
     n = n1 + n2
-    return (ClassStats(np.array([mean1]), np.array([[var1]]), n1, n1 / n),
-            ClassStats(np.array([mean2]), np.array([[var2]]), n2, n2 / n),
-            Priors(n1 / n, n2 / n))
-
-
-def random_stats(rng, d):
-    def spd():
-        root = rng.standard_normal((d, d))
-        return root @ root.T + d * np.eye(d)
-    n1, n2 = int(rng.integers(50, 200)), int(rng.integers(50, 200))
-    n = n1 + n2
-    return (ClassStats(rng.normal(0, 2, d), spd(), n1, n1 / n),
-            ClassStats(rng.normal(0, 2, d), spd(), n2, n2 / n),
+    return (ClassStats(np.array([mean1]), np.array([[var1]]), n1),
+            ClassStats(np.array([mean2]), np.array([[var2]]), n2),
             Priors(n1 / n, n2 / n))
 
 
@@ -87,13 +78,28 @@ class TestLabeledDataset:
         upper = data.subset(np.array([0, 2]))    # {0, 2}: index 2 still used
         assert upper.class_names == ("a", "b", "c")
 
+    def test_unnamed_classes_are_named_by_index(self):
+        data = LabeledDataset([[1.0], [2.0], [3.0]], [0, 2, 1])
+        assert data.class_names == ("0", "1", "2")
+        assert LabeledDataset([[1.0], [2.0]], [0, 1]).class_names == ("0", "1")
+        assert data.subset(np.array([0, 2])).class_names == ("0", "1")
+        assert data.subset(np.array([1])).class_names == ("0", "1", "2")
+
+    def test_shapes_and_rows_checked(self):
+        with pytest.raises(DimensionMismatch, match="n x d"):
+            LabeledDataset([1.0, 2.0], [0, 1])
+        with pytest.raises(DimensionMismatch, match="does not match"):
+            LabeledDataset([[1.0], [2.0]], [0, 1, 1])
+        with pytest.raises(EmptyClass, match="no rows"):
+            LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
 
 def test_objects_keep_read_only_copies_of_writeable_arrays():
     w = np.array([1.0, 2.0])
     mean, cov = np.array([0.5, -0.5]), np.eye(2)
     features, labels = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1])
     kept = [(LinearDiscriminant(w, 0.0).w, w)]
-    stats = ClassStats(mean, cov, 2, 0.5)
+    stats = ClassStats(mean, cov, 2)
     kept += [(stats.mean, mean), (stats.cov, cov)]
     data = LabeledDataset(features, labels)
     kept += [(data.features, features), (data.labels, labels)]
@@ -123,11 +129,29 @@ class TestComputeClassStats:
         with pytest.raises(EmptyClass):
             compute_class_stats(data, 0, 1)
 
+    def test_moments_that_overflow_are_an_error(self):
+        # squares of 1e200 overflow; the run turns warnings into errors,
+        # so an overflow warning escaping would fail here too
+        rng = np.random.default_rng(4)
+        features = rng.standard_normal((40, 3))
+        features[20:] *= 1e200
+        data = LabeledDataset(features, np.repeat([0, 1], 20))
+        with pytest.raises(DegenerateProjection, match="class 1"):
+            compute_class_stats(data, 0, 1)
+        with pytest.raises(DegenerateProjection, match="class 1"):
+            compute_class_stats(data, 1, 0)
+
+
+def test_priors_must_be_positive():
+    for pi1, pi2 in ((0.0, 1.0), (0.5, -0.5), (math.nan, 0.5)):
+        with pytest.raises(EmptyClass, match="strictly positive"):
+            Priors(pi1, pi2)
+
 
 class TestProjectStats:
     def test_coordinate_projection(self):
-        s1 = ClassStats(np.array([2.0, 9.0]), np.diag([4.0, 1.0]), 5, 0.5)
-        s2 = ClassStats(np.array([0.0, 0.0]), np.eye(2), 5, 0.5)
+        s1 = ClassStats(np.array([2.0, 9.0]), np.diag([4.0, 1.0]), 5)
+        s2 = ClassStats(np.array([0.0, 0.0]), np.eye(2), 5)
         proj = project_stats(LinearDiscriminant([1.0, 0.0], 0.0), s1, s2)
         assert_allclose([proj.mu1, proj.var1, proj.z1], [2.0, 4.0, -1.0])
 
@@ -143,8 +167,8 @@ class TestProjectStats:
         assert_allclose(proj.var1, w @ w, rtol=1e-12)
 
     def test_degenerate_variance(self):
-        s1 = ClassStats(np.array([0.0, 0.0]), np.diag([0.0, 1.0]), 5, 0.5)
-        s2 = ClassStats(np.array([1.0, 0.0]), np.eye(2), 5, 0.5)
+        s1 = ClassStats(np.array([0.0, 0.0]), np.diag([0.0, 1.0]), 5)
+        s2 = ClassStats(np.array([1.0, 0.0]), np.eye(2), 5)
         with pytest.raises(DegenerateProjection):
             project_stats(LinearDiscriminant([1.0, 0.0], 0.0), s1, s2)
 
@@ -296,3 +320,9 @@ class TestTrainingErrorCount:
     def test_single_misplacement(self):
         data = LabeledDataset([[0.0], [1.0], [2.0], [3.0]], [1, 1, 0, 0])
         assert training_error_count(LinearDiscriminant([1.0], 1.0), data) == 1
+
+    def test_three_classes_need_explicit_pair(self):
+        data = LabeledDataset([[0.0], [1.0], [2.0]], [0, 1, 2])
+        disc = LinearDiscriminant([1.0], 0.5)
+        with pytest.raises(DimensionMismatch, match="3 classes"):
+            training_error_count(disc, data)

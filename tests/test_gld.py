@@ -14,6 +14,8 @@ from hetlda import (ClassStats, ComplexRoot, DegenerateProjection,
                     second_order_holds, solve_threshold, threshold_roots,
                     train_gld, train_lda, update_weights)
 
+from helpers import proj_for, random_stats
+
 # Frozen from an independent oracle: 40-digit root find of the error
 # derivative pi1*phi(z1)/sigma1 - pi2*phi(z2)/sigma2, each root checked
 # to be a local minimum of the error by second differences.
@@ -21,27 +23,10 @@ THRESHOLD_WIDE_FIRST = 1.6599096559016366
 THRESHOLD_WIDE_SECOND = -4.326576322568303
 
 
-def proj_for(mu1, mu2, var1, var2, w0):
-    return ProjectedStats(mu1, mu2, var1, var2,
-                          (w0 - mu1) / math.sqrt(var1),
-                          (w0 - mu2) / math.sqrt(var2))
-
-
-def random_stats(rng, d):
-    def spd():
-        root = rng.standard_normal((d, d))
-        return root @ root.T + d * np.eye(d)
-    n1, n2 = int(rng.integers(50, 200)), int(rng.integers(50, 200))
-    n = n1 + n2
-    return (ClassStats(rng.normal(0, 2, d), spd(), n1, n1 / n),
-            ClassStats(rng.normal(0, 2, d), spd(), n2, n2 / n),
-            Priors(n1 / n, n2 / n))
-
-
 def complex_root_stats():
     # no real stationary threshold along the Fisher direction
-    s1 = ClassStats(np.array([0.01]), np.array([[1.0]]), 100, 100 / 1100)
-    s2 = ClassStats(np.array([0.0]), np.array([[4.0]]), 1000, 1000 / 1100)
+    s1 = ClassStats(np.array([0.01]), np.array([[1.0]]), 100)
+    s2 = ClassStats(np.array([0.0]), np.array([[4.0]]), 1000)
     return s1, s2, Priors(100 / 1100, 1000 / 1100)
 
 
@@ -114,6 +99,16 @@ class TestRootSelection:
     def test_trivial_sign_case(self):
         assert second_order_holds(ProjectedStats(0, 0, 1, 1, -1.0, 1.0))
 
+    def test_roots_when_the_linear_term_vanishes(self):
+        # N = mu2 var1 - mu1 var2 = 0: the roots are +-G/a, with a = 1
+        # and G = sqrt(var1 var2 (2 a ln sqrt(2))) = sqrt(2 ln 2)
+        plus, minus = threshold_roots(0.0, 0.0, 2.0, 1.0, 1.0)
+        assert_allclose([plus, minus], [math.sqrt(2 * math.log(2)),
+                                         -math.sqrt(2 * math.log(2))],
+                        rtol=1e-15)
+        assert second_order_holds(proj_for(0.0, 0.0, 2.0, 1.0, plus))
+        assert not second_order_holds(proj_for(0.0, 0.0, 2.0, 1.0, minus))
+
     def test_roots_require_unequal_variances(self):
         with pytest.raises(ValueError):
             threshold_roots(1.0, 0.0, 2.0, 2.0, 1.0)
@@ -121,26 +116,26 @@ class TestRootSelection:
 
 class TestFisherInit:
     def test_identity_scatter(self):
-        s1 = ClassStats(np.array([1.0, 0.0]), np.eye(2), 1, 0.5)
-        s2 = ClassStats(np.array([-1.0, 0.0]), np.eye(2), 1, 0.5)
+        s1 = ClassStats(np.array([1.0, 0.0]), np.eye(2), 1)
+        s2 = ClassStats(np.array([-1.0, 0.0]), np.eye(2), 1)
         assert_allclose(fisher_init(s1, s2), [1.0, 0.0])
 
     def test_diagonal_scatter(self):
-        s1 = ClassStats(np.array([4.0, 2.0]), np.eye(2), 1, 0.5)
-        s2 = ClassStats(np.array([0.0, 0.0]), np.diag([3.0, 1.0]), 1, 0.5)
+        s1 = ClassStats(np.array([4.0, 2.0]), np.eye(2), 1)
+        s2 = ClassStats(np.array([0.0, 0.0]), np.diag([3.0, 1.0]), 1)
         assert_allclose(fisher_init(s1, s2), [1.0, 1.0])
 
     def test_equal_means(self):
-        s1 = ClassStats(np.array([1.0]), np.array([[1.0]]), 5, 0.5)
-        s2 = ClassStats(np.array([1.0]), np.array([[2.0]]), 5, 0.5)
+        s1 = ClassStats(np.array([1.0]), np.array([[1.0]]), 5)
+        s2 = ClassStats(np.array([1.0]), np.array([[2.0]]), 5)
         with pytest.raises(ZeroDirection):
             fisher_init(s1, s2)
 
 
 class TestUpdateWeights:
     def test_scalar_arithmetic(self):
-        s1 = ClassStats(np.array([3.0]), np.array([[1.0]]), 5, 0.5)
-        s2 = ClassStats(np.array([0.0]), np.array([[4.0]]), 5, 0.5)
+        s1 = ClassStats(np.array([3.0]), np.array([[1.0]]), 5)
+        s2 = ClassStats(np.array([0.0]), np.array([[4.0]]), 5)
         proj = ProjectedStats(3.0, 0.0, 1.0, 4.0, -1.0, 0.5)
         assert_allclose(update_weights(s1, s2, proj), [1.5])
 
@@ -148,8 +143,8 @@ class TestUpdateWeights:
         rng = np.random.default_rng(17)
         root = rng.standard_normal((3, 3))
         cov = root @ root.T + 3 * np.eye(3)
-        s1 = ClassStats(rng.normal(0, 1, 3), cov, 10, 0.5)
-        s2 = ClassStats(rng.normal(0, 1, 3), cov, 10, 0.5)
+        s1 = ClassStats(rng.normal(0, 1, 3), cov, 10)
+        s2 = ClassStats(rng.normal(0, 1, 3), cov, 10)
         proj = ProjectedStats(1.0, -1.0, 2.0, 2.0, -0.5, 0.7)
         w = update_weights(s1, s2, proj)
         fisher = np.linalg.solve(cov, s1.mean - s2.mean)
@@ -199,8 +194,8 @@ class TestTrainGld:
         rng = np.random.default_rng(59)
         root = rng.standard_normal((3, 3))
         cov = root @ root.T + 3 * np.eye(3)
-        s1 = ClassStats(rng.normal(0, 2, 3), cov, 40, 0.5)
-        s2 = ClassStats(rng.normal(0, 2, 3), cov, 40, 0.5)
+        s1 = ClassStats(rng.normal(0, 2, 3), cov, 40)
+        s2 = ClassStats(rng.normal(0, 2, 3), cov, 40)
         disc, _, _ = train_gld(s1, s2, Priors(0.5, 0.5))
         fisher = np.linalg.solve(cov, s1.mean - s2.mean)
         cosine = disc.w @ fisher / (np.linalg.norm(disc.w)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hetlda import (FORMAT_VERSION, LabeledDataset, ParseError,
+from hetlda import (FORMAT_VERSION, LabeledDataset, OvoModel, ParseError,
                     VersionMismatch, dataset_hash, load_model, make_trainer,
                     predict_ovo_batch, save_model, train_ovo)
 
@@ -99,6 +99,33 @@ class TestFormatGuards:
             broken.write_text(json.dumps(document))   # NaN, Infinity
             with pytest.raises(ParseError):
                 load_model(str(broken))
+
+    def test_nesting_too_deep_to_decode(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ParseError, match="not valid JSON"):
+            load_model(str(path))
+
+    def test_null_class_names_load_as_defaults(self, tmp_path):
+        # files written before every model named its classes hold null
+        model, _ = trained_model(seed=12, k=3)
+        path = str(tmp_path / "model.json")
+        save_model(path, model, "gld")
+        document = json.loads(Path(path).read_text())
+        document["class_names"] = None
+        Path(path).write_text(json.dumps(document))
+        loaded, _, _ = load_model(path)
+        assert loaded.class_names == ("0", "1", "2")
+        probe = np.random.default_rng(2).normal(0, 5, (50, 3))
+        assert np.array_equal(predict_ovo_batch(loaded, probe),
+                              predict_ovo_batch(model, probe))
+
+    def test_unnamed_model_saves_its_default_names(self, tmp_path):
+        model, _ = trained_model(seed=13, k=2)
+        path = str(tmp_path / "model.json")
+        save_model(path, OvoModel(model.pairs, 2), "gld")
+        assert json.loads(Path(path).read_text())["class_names"] == [
+            "0", "1"]
 
     def test_top_level_must_be_an_object(self, tmp_path):
         path = tmp_path / "model.json"

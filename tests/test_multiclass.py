@@ -73,6 +73,45 @@ class TestOvoModel:
         model = OvoModel(((0, 1, disc, 0.1),), 2, ["a", "b"])
         assert model.class_names == ("a", "b")
 
+    def test_non_finite_rules_rejected(self):
+        # a NaN weight used to vote for the second class on every row
+        ok = LinearDiscriminant(np.array([1.0, 2.0]), 0.0)
+        for disc in (LinearDiscriminant(np.array([1.0, np.nan]), 0.0),
+                     LinearDiscriminant(np.array([1.0, 2.0]), np.inf)):
+            with pytest.raises(ValueError, match="non-finite"):
+                OvoModel(((0, 1, disc, 0.1),), 2)
+            with pytest.raises(ValueError, match="non-finite"):
+                OvoModel(((0, 1, ok, 0.1), (0, 2, ok, 0.1),
+                          (1, 2, disc, 0.1)), 3)
+
+    def test_class_fields_must_be_integers(self):
+        disc = LinearDiscriminant(np.array([1.0]), 0.0)
+        for pairs, k in ((((0, True, disc, 0.1),), 2),
+                         (((False, 1, disc, 0.1),), 2),
+                         (((0.0, 1, disc, 0.1),), 2),
+                         (((0, 1, disc, 0.1),), 2.0),
+                         (((0, 1, disc, 0.1),), True)):
+            with pytest.raises(ValueError, match="not an integer"):
+                OvoModel(pairs, k)
+        model = OvoModel(((np.int64(0), np.int32(1), disc, 0.1),),
+                         np.int64(2))
+        assert model.n_classes == 2
+
+    def test_weight_vectors_share_one_non_empty_length(self):
+        short, long = (LinearDiscriminant(np.ones(d), 0.0) for d in (2, 3))
+        with pytest.raises(ValueError, match="different lengths"):
+            OvoModel(((0, 1, short, 0.1), (0, 2, short, 0.1),
+                      (1, 2, long, 0.1)), 3)
+        empty = LinearDiscriminant(np.array([]), 0.0)
+        with pytest.raises(ValueError, match="empty"):
+            OvoModel(((0, 1, empty, 0.1),), 2)
+
+    def test_default_class_names(self):
+        disc = LinearDiscriminant(np.array([1.0]), 0.0)
+        assert OvoModel(((0, 1, disc, 0.1),), 2).class_names == ("0", "1")
+        assert rigged([(0, 1, 1, 0.1), (0, 2, 1, 0.1), (1, 2, 1, 0.1)],
+                      3).class_names == ("0", "1", "2")
+
     def test_mean_error(self):
         model = rigged([(0, 1, 1, 0.1), (0, 2, 1, 0.3), (1, 2, 1, 0.2)], 3)
         assert model.mean_p_e == pytest.approx(0.2)
