@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import time
 from array import array
 from concurrent.futures import ThreadPoolExecutor
@@ -111,16 +110,13 @@ def load_csv(path: str, has_header: bool = False,
     try:
         values = [int(cell) for cell in raw_labels]
     except ValueError:
-        values = None
-    if values is not None and set(values) == set(range(len(set(values)))):
-        labels = np.asarray(values)
-        names = tuple(str(v) for v in range(len(set(values))))
-    else:
-        order: dict[str, int] = {}
-        for cell in raw_labels:
-            order.setdefault(cell, len(order))
-        labels = np.asarray([order[cell] for cell in raw_labels])
-        names = tuple(order)
+        values = []
+    distinct = set(values)
+    if values and distinct == set(range(len(distinct))):
+        return LabeledDataset(features, np.asarray(values))
+    names = tuple(dict.fromkeys(raw_labels))  # in order of first appearance
+    index = {name: k for k, name in enumerate(names)}
+    labels = np.asarray([index[cell] for cell in raw_labels])
     return LabeledDataset(features, labels, names)
 
 
@@ -355,13 +351,9 @@ def _run_cell(data: LabeledDataset, trainer: BinaryTrainer,
 
 
 def default_workers() -> int:
-    env = os.environ.get("HETLDA_THREADS")
-    if env:
-        workers = int(env)
-        if workers < 1:
-            raise ValueError("HETLDA_THREADS must be a positive integer")
-        return workers
-    return os.cpu_count() or 1
+    """One worker: two threads sharing the interpreter lock ran cells
+    1.01-1.04 times in parallel on two cores and doubled each train_time."""
+    return 1
 
 
 def run_benchmark(data: LabeledDataset,
@@ -373,22 +365,23 @@ def run_benchmark(data: LabeledDataset,
     Every method x trial x fold cell trains on the train split (one-vs-
     one when K > 2), records the model error on the training fold and
     the accuracy on the test fold, and times the training call. Cells
-    run on a thread pool; a cell whose trainer raises is recorded as a
-    failure and excluded from the aggregates. Standardization, when
-    enabled, fits the scaling on each training fold only.
+    run one at a time, so each train_time is the trainer's own time; a
+    cell whose trainer raises is recorded as a failure and excluded from
+    the aggregates. Standardization, when enabled, fits the scaling on
+    each training fold only.
     """
     if not methods:
         raise ValueError("need at least one method")
     plan = plan or CvPlan()
     splits = kfold_split(data, plan)
-    jobs = [(name, trainer, trial, fold, train_idx, test_idx)
-            for name, trainer in methods
+    jobs = [(trainer, train_idx, test_idx, trial, fold)
+            for _name, trainer in methods
             for trial in range(plan.trials)
             for fold, (train_idx, test_idx) in enumerate(splits[trial])]
+    # one pool thread, on which perfbench's tracer opens data.cell spans
     with ThreadPoolExecutor(max_workers=default_workers()) as pool:
         records = list(pool.map(
-            lambda job: _run_cell(data, job[1], job[4], job[5], job[2],
-                                  job[3], standardize), jobs))
+            lambda job: _run_cell(data, *job, standardize), jobs))
 
     rows = []
     per_method = len(records) // len(methods)
@@ -404,7 +397,6 @@ def run_benchmark(data: LabeledDataset,
                               float(times.mean()), tuple(cells),
                               len(cells) - len(ok))
         else:
-            row = EvalMetrics(name, math.nan, math.nan, math.nan, math.nan,
-                              math.nan, tuple(cells), len(cells))
+            row = EvalMetrics(name, *[math.nan] * 5, tuple(cells), len(cells))
         rows.append(row)
     return BenchmarkReport(tuple(rows), plan)

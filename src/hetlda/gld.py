@@ -133,11 +133,10 @@ def solve_threshold(mu1: float, mu2: float, var1: float, var2: float,
     return 0.5 * (mu1 + mu2) + var * math.log(tau) / (mu1 - mu2)
 
 
-def second_order_holds(proj: ProjectedStats,
-                       tol: float = _SECOND_ORDER_TOL) -> bool:
+def second_order_holds(proj: ProjectedStats) -> bool:
     """Local-minimum test for a stationary threshold:
-    z2/sigma2 >= z1/sigma1 (up to tol)."""
-    return proj.z2 / proj.sigma2 >= proj.z1 / proj.sigma1 - tol
+    z2/sigma2 >= z1/sigma1 (up to 1e-12)."""
+    return proj.z2 / proj.sigma2 >= proj.z1 / proj.sigma1 - _SECOND_ORDER_TOL
 
 
 def fisher_init(stats1: ClassStats, stats2: ClassStats) -> np.ndarray:

@@ -48,6 +48,13 @@ def save_model(path: str, model: OvoModel, method: str,
         handle.write("\n")
 
 
+def _number(value) -> float:
+    # float() alone would also take true, false and numeric strings
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a JSON number")
+    return float(value)
+
+
 def load_model(path: str) -> tuple[OvoModel, str, dict]:
     """Read a model file; returns (model, method name, metadata). A null
     class_names, as older files may hold, gives the default names."""
@@ -66,12 +73,13 @@ def load_model(path: str) -> tuple[OvoModel, str, dict]:
             f"{FORMAT_VERSION}")
     try:
         pairs = [(entry["class_a"], entry["class_b"],
-                  LinearDiscriminant(np.array(entry["w"], dtype=float),
-                                     float(entry["w0"])),
-                  float(entry["p_e"]))
+                  LinearDiscriminant([_number(v) for v in entry["w"]],
+                                     _number(entry["w0"])),
+                  _number(entry["p_e"]))
                  for entry in document["pairs"]]
         model = OvoModel(pairs, document["n_classes"],
                          document["class_names"])
         return model, document["method"], document.get("metadata", {})
-    except (DimensionMismatch, KeyError, TypeError, ValueError) as exc:
+    except (DimensionMismatch, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise ParseError(f"malformed model file: {exc}") from None

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +64,19 @@ class TestGenerate:
                               str(tmp_path / "missing" / "d1.csv"))
         assert code == 1
         assert "error:" in stderr
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m hetlda is how the benchmark starts the CLI as a child
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        out = tmp_path / "d2.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "hetlda", "generate", "d2", "--seed", "1",
+             "--out", str(out)], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert len(out.read_text().splitlines()) == 6000
 
 
 class TestTrain:
@@ -261,6 +277,21 @@ class TestPredict:
             code, stdout, stderr = run(capsys, "predict", str(broken), data,
                                        "--out", str(tmp_path / "p.txt"))
             assert code == 1 and stderr.startswith("error: malformed"), w
+            assert "predictions" not in stdout
+
+    def test_rule_numbers_that_are_not_numbers_exit_one(self, tmp_path,
+                                                        capsys):
+        _, model_path = self.fitted(tmp_path, capsys, method="lda")
+        data = small_csv(tmp_path)
+        broken = tmp_path / "numbers.json"
+        for key, value in (("w", [True, False]), ("w0", "1.5"),
+                           ("p_e", False)):
+            document = json.loads(Path(model_path).read_text())
+            document["pairs"][0][key] = value
+            broken.write_text(json.dumps(document))
+            code, stdout, stderr = run(capsys, "predict", str(broken), data,
+                                       "--out", str(tmp_path / "p.txt"))
+            assert code == 1 and stderr.startswith("error: malformed"), key
             assert "predictions" not in stdout
 
     def test_non_string_class_names_exit_one(self, tmp_path, capsys):

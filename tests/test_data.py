@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -314,6 +316,27 @@ class TestRunBenchmark:
             assert ra.bayes_error == rb.bayes_error
             assert ra.accuracy == rb.accuracy
 
+    def test_cells_run_one_at_a_time(self):
+        lock = threading.Lock()
+        running = peak = 0
+        lda = make_trainer("lda")
+
+        def counting(data, class_a, class_b):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            time.sleep(0.002)
+            with lock:
+                running -= 1
+            return lda(data, class_a, class_b)
+
+        data = two_blob_data(n=40, seed=4)
+        report = run_benchmark(data, [("lda", counting)],
+                               CvPlan(folds=4, trials=2))
+        assert report.methods[0].failures == 0
+        assert peak == 1
+
     def test_failing_trainer_recorded_not_fatal(self):
         def broken(_data, _a, _b):
             raise DegenerateProjection("forced failure")
@@ -412,14 +435,10 @@ class TestReportFormats:
 
 
 class TestDefaultWorkers:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("HETLDA_THREADS", "3")
-        assert default_workers() == 3
-
-    def test_invalid_env(self, monkeypatch):
-        monkeypatch.setenv("HETLDA_THREADS", "0")
-        with pytest.raises(ValueError):
-            default_workers()
+    def test_threads_variable_has_no_effect(self, monkeypatch):
+        for value in ("3", "0"):
+            monkeypatch.setenv("HETLDA_THREADS", value)
+            assert default_workers() == 1
 
     def test_unset_env(self, monkeypatch):
         monkeypatch.delenv("HETLDA_THREADS", raising=False)

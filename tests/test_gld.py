@@ -113,6 +113,16 @@ class TestRootSelection:
         with pytest.raises(ValueError):
             threshold_roots(1.0, 0.0, 2.0, 2.0, 1.0)
 
+    def test_invalid_inputs(self):
+        with pytest.raises(ValueError, match="var1 must be positive"):
+            threshold_roots(0.0, 1.0, -1.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            threshold_roots(0.0, 1.0, 1.0, 2.0, 0.0)
+        with pytest.raises(ValueError, match="mu1 must be finite"):
+            threshold_roots(math.nan, 0.0, 1.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="mu1 must be finite"):
+            solve_threshold(math.nan, 0.0, 1.0, 1.0, 1.0)
+
 
 class TestFisherInit:
     def test_identity_scatter(self):
@@ -165,6 +175,14 @@ class TestUpdateWeights:
             diff = s1.mean - s2.mean
             residual = np.linalg.norm(matrix @ w - diff)
             assert residual <= 1e-8 * max(np.linalg.norm(diff), 1.0)
+
+    def test_mean_difference_outside_the_range(self):
+        cov = np.diag([1.0, 0.0])
+        s1 = ClassStats(np.array([0.0, 1.0]), cov, 5)
+        s2 = ClassStats(np.array([0.0, 0.0]), cov, 5)
+        proj = ProjectedStats(0.0, 0.0, 1.0, 4.0, -1.0, 0.5)
+        with pytest.raises(SingularUpdate):
+            update_weights(s1, s2, proj)
 
 
 class TestRecoverS:

@@ -177,6 +177,23 @@ class TestFormatGuards:
         with pytest.raises(ParseError, match="different lengths"):
             load_model(path)
 
+    def test_rule_numbers_must_be_json_numbers(self, tmp_path):
+        # float() and np.array(..., dtype=float) would take the first six;
+        # the last is a JSON integer beyond the float range
+        model, _ = trained_model(seed=10, k=2)
+        path = str(tmp_path / "model.json")
+        save_model(path, model, "lda")
+        broken = tmp_path / "broken.json"
+        for key, value in (("w", [True, False]), ("w", ["1", "2"]),
+                           ("w0", True), ("w0", "1.5"),
+                           ("p_e", False), ("p_e", "0.1"),
+                           ("w0", 10 ** 400)):
+            document = json.loads(Path(path).read_text())
+            document["pairs"][0][key] = value
+            broken.write_text(json.dumps(document))
+            with pytest.raises(ParseError, match="malformed model file"):
+                load_model(str(broken))
+
 
 class TestDatasetHash:
     def test_shape_and_stability(self):

@@ -35,6 +35,14 @@ class TestMeanVector:
         with pytest.raises(DimensionMismatch):
             mean_vector([[1, 2], [1]])
 
+    def test_matrix_without_rows(self):
+        with pytest.raises(EmptyClass):
+            mean_vector(np.zeros((0, 2)))
+
+    def test_not_a_matrix(self):
+        with pytest.raises(DimensionMismatch):
+            mean_vector(np.zeros((2, 2, 2)))
+
 
 class TestCovarianceMatrix:
     def test_one_dimensional(self):
@@ -112,6 +120,10 @@ class TestSolveSymmetric:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             solve_symmetric(np.eye(2), [1, 2, 3])
+
+    def test_non_square_matrix(self):
+        with pytest.raises(DimensionMismatch):
+            solve_symmetric(np.zeros((2, 3)), np.zeros(2))
 
 
 class TestQFunction:
