@@ -15,9 +15,9 @@ from .discriminant import (ClassStats, LabeledDataset, LinearDiscriminant,
                            training_error_count)
 from .errors import (ComplexRoot, DegenerateProjection, DimensionMismatch,
                      EmptyClass, HetldaError, InconsistentWidth,
-                     Indeterminate, InfeasibleStratification, ParseError,
-                     SingularUpdate, VersionMismatch, ZeroDirection)
-from .gld import (GldConfig, GldIterate, GldTrace, fisher_init, recover_s,
+                     InfeasibleStratification, ParseError, SingularUpdate,
+                     VersionMismatch, ZeroDirection)
+from .gld import (GldConfig, GldIterate, GldTrace, fisher_init,
                   second_order_holds, solve_threshold, threshold_roots,
                   train_gld, update_weights)
 from .lns import LnsConfig, local_neighbourhood_search

@@ -10,7 +10,6 @@ threshold (s1 mu2 var1 + s2 mu1 var2) / (s1 var1 + s2 var2).
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,32 +102,28 @@ def _blend_search(stats1: ClassStats, stats2: ClassStats, priors: Priors,
     """Best rule over the blends s1[i] C1 + s2[i] C2, ties to the first
     candidate and threshold; returns (rule, error, (s1[i], s2[i])).
 
-    C2 = U diag(e) U' and W' C1 W = V diag(lam) V', W = U diag(e)^-1/2,
-    give T = W V with T' C1 T = diag(lam), T' C2 T = I and direction
-    T (T' diff / (s1 lam + s2)): O(d) per candidate. C2 or blends whose
-    |eigenvalues| spread by over 1/_SINGULAR_RTOL use solve_symmetric;
-    the winner is rebuilt with one such solve and scored as a loop would.
+    P = pi1 C1 + pi2 C2 = U diag(e) U' is whitened on the span of its
+    eigenvalues above _SINGULAR_RTOL of the largest, W = U diag(e)^-1/2,
+    and W' C1 W = V diag(lam) V' gives T = W V with T' C1 T = diag(lam)
+    and T' C2 T = diag(mu). Every blend vanishes outside that span, so
+    each candidate direction is T (T' diff / (s1 lam + s2 mu)): O(d) per
+    candidate, with a blend eigenvalue within _SINGULAR_RTOL of that
+    blend's largest taken as zero. The winner is rebuilt with one
+    solve_symmetric and scored as a per-candidate loop would score it.
     """
     diff = _mean_difference(stats1, stats2)
-    moments = np.full((4, s1.shape[0]), np.nan)
-    fallback = np.ones(s1.shape[0], dtype=bool)
-    e, u = np.linalg.eigh(stats2.cov)
-    if e.min() > _SINGULAR_RTOL * e.max():
-        white = u / np.sqrt(e)
-        lam, v = np.linalg.eigh(white.T @ stats1.cov @ white)
-        t = white @ v
-        eig = np.outer(s1, lam) + s2[:, None]  # blend eigenvalues, whitened
-        fallback = np.abs(eig).min(1) <= _SINGULAR_RTOL * np.abs(eig).max(1)
-        x = (t.T @ diff) / eig[~fallback]
-        moments[:, ~fallback] = (x @ (t.T @ stats1.mean),
-                                 x @ (t.T @ stats2.mean),
-                                 (x * x) @ lam, np.sum(x * x, axis=1))
-    for i in np.flatnonzero(fallback):
-        w = solve_symmetric(s1[i] * stats1.cov + s2[i] * stats2.cov, diff)
-        with suppress(DegenerateProjection):  # zero or non-finite w too
-            pre = project_stats(LinearDiscriminant(w, 0.0), stats1, stats2)
-            moments[:, i] = pre.mu1, pre.mu2, pre.var1, pre.var2
-    mu1, mu2, var1, var2 = moments
+    e, u = np.linalg.eigh(priors.pi1 * stats1.cov + priors.pi2 * stats2.cov)
+    span = e > max(_SINGULAR_RTOL * e.max(), 0.0)
+    white = u[:, span] / np.sqrt(e[span])
+    lam, v = np.linalg.eigh(white.T @ stats1.cov @ white)
+    t = white @ v
+    mu = np.einsum("ij,ik,kj->j", t, stats2.cov, t)
+    eig = np.outer(s1, lam) + np.outer(s2, mu)  # blend eigenvalues in T
+    size = np.abs(eig)
+    nonzero = size > _SINGULAR_RTOL * size.max(1, keepdims=True, initial=0.0)
+    x = np.divide(t.T @ diff, eig, out=np.zeros_like(eig), where=nonzero)
+    mu1, mu2 = x @ (t.T @ stats1.mean), x @ (t.T @ stats2.mean)
+    var1, var2 = (x * x) @ lam, (x * x) @ mu
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w0 = np.array(thresholds(s1, s2, mu1, mu2, var1, var2))
         pe = (priors.pi1 * _q((mu1 - w0) / np.sqrt(var1))

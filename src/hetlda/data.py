@@ -101,20 +101,16 @@ def load_csv(path: str, has_header: bool = False,
              label_column: int = -1) -> LabeledDataset:
     """Read a delimited file with one label column, the rest features.
 
-    Integer labels forming a dense set {0..K-1} are kept as-is; any
-    other labels (strings, sparse integers) are mapped to dense integers
-    in order of first appearance, with the original text kept as class
-    names.
+    Labels whose distinct texts are exactly "0", "1", ..., "K-1" keep
+    those values; any other labels (strings, sparse integers, or integer
+    texts such as "01" or "1_0") are mapped to dense integers in order of
+    first appearance, with the original text kept as class names.
     """
     features, raw_labels = _read(path, has_header, label_column)
-    try:
-        values = [int(cell) for cell in raw_labels]
-    except ValueError:
-        values = []
-    distinct = set(values)
-    if values and distinct == set(range(len(distinct))):
-        return LabeledDataset(features, np.asarray(values))
     names = tuple(dict.fromkeys(raw_labels))  # in order of first appearance
+    dense = tuple(str(k) for k in range(len(names)))
+    if set(names) == set(dense):
+        names = dense
     index = {name: k for k, name in enumerate(names)}
     labels = np.asarray([index[cell] for cell in raw_labels])
     return LabeledDataset(features, labels, names)

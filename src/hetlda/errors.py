@@ -36,10 +36,6 @@ class SingularUpdate(HetldaError):
     solution is the zero vector."""
 
 
-class Indeterminate(HetldaError):
-    """The blend-parameter recovery denominator is exactly zero."""
-
-
 class ParseError(HetldaError):
     """A CSV cell failed to parse. Carries 1-based row/column location."""
 

@@ -22,14 +22,13 @@ from .baselines import _pooled_direction
 from .discriminant import (ClassStats, LinearDiscriminant, Priors,
                            ProjectedStats, _gradient, bayes_error,
                            project_stats)
-from .errors import (ComplexRoot, DegenerateProjection, Indeterminate,
-                     SingularUpdate)
+from .errors import ComplexRoot, DegenerateProjection, SingularUpdate
 from .numkit import solve_symmetric
 
 __all__ = [
     "GldConfig", "GldIterate", "GldTrace", "threshold_roots",
     "solve_threshold", "second_order_holds", "fisher_init", "update_weights",
-    "recover_s", "train_gld",
+    "train_gld",
 ]
 
 _SECOND_ORDER_TOL = 1e-12
@@ -153,15 +152,6 @@ def update_weights(stats1: ClassStats, stats2: ClassStats,
     if not np.any(w):
         raise SingularUpdate("update system maps the mean difference to zero")
     return w
-
-
-def recover_s(proj: ProjectedStats) -> float:
-    """The s whose blend (s, 1-s), the family chld searches, gives the
-    stationary rule's direction; unbounded in general."""
-    denom = proj.sigma1 * proj.z2 - proj.sigma2 * proj.z1
-    if denom == 0.0:
-        raise Indeterminate("sigma1 z2 == sigma2 z1")
-    return -proj.sigma2 * proj.z1 / denom
 
 
 def train_gld(stats1: ClassStats, stats2: ClassStats, priors: Priors,

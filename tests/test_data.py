@@ -128,6 +128,17 @@ class TestLoadCsv:
         assert data.labels.tolist() == [0, 1, 0]
         assert data.class_names == ("5", "7")
 
+    def test_distinct_label_texts_stay_distinct_classes(self, tmp_path):
+        data = load_csv(write(tmp_path, "0.5,0\n0.6,1\n0.7,01\n0.8,1\n"))
+        assert data.labels.tolist() == [0, 1, 2, 1]
+        assert data.class_names == ("0", "1", "01")
+
+    def test_non_canonical_integer_label_keeps_its_text(self, tmp_path):
+        rows = [f"0.{k},{k}\n" for k in range(10)] + ["0.9,1_0\n"]
+        data = load_csv(write(tmp_path, "".join(rows)))
+        assert data.labels.tolist() == list(range(11))
+        assert data.class_names[10] == "1_0"
+
     def test_label_column_positions(self, tmp_path):
         path = write(tmp_path, "A,1.0,2.0\nB,3.0,4.0\n")
         data = load_csv(path, label_column=0)

@@ -7,11 +7,11 @@ from numpy.testing import assert_allclose
 import hetlda.discriminant
 import hetlda.gld
 from hetlda import (ClassStats, ComplexRoot, DegenerateProjection,
-                    GldConfig, Indeterminate, LinearDiscriminant, Priors,
-                    ProjectedStats, SingularUpdate, ZeroDirection,
-                    bayes_error, d1_population, d2_population, fisher_init,
-                    gradient_bayes_error, project_stats, recover_s,
-                    second_order_holds, solve_threshold, threshold_roots,
+                    GldConfig, LinearDiscriminant, Priors, ProjectedStats,
+                    SingularUpdate, ZeroDirection, bayes_error,
+                    d1_population, d2_population, fisher_init,
+                    gradient_bayes_error, project_stats, second_order_holds,
+                    solve_threshold, threshold_roots,
                     train_gld, train_lda, update_weights)
 
 from helpers import proj_for, random_stats
@@ -183,21 +183,6 @@ class TestUpdateWeights:
         proj = ProjectedStats(0.0, 0.0, 1.0, 4.0, -1.0, 0.5)
         with pytest.raises(SingularUpdate):
             update_weights(s1, s2, proj)
-
-
-class TestRecoverS:
-    def test_symmetric(self):
-        assert_allclose(recover_s(ProjectedStats(0, 0, 1, 1, -1.0, 1.0)), 0.5)
-
-    def test_zero_numerator(self):
-        assert recover_s(ProjectedStats(0, 0, 1, 1, 0.0, 1.0)) == 0.0
-
-    def test_outside_unit_interval(self):
-        assert_allclose(recover_s(ProjectedStats(0, 0, 1, 1, 1.0, 2.0)), -1.0)
-
-    def test_indeterminate(self):
-        with pytest.raises(Indeterminate):
-            recover_s(ProjectedStats(0, 0, 1, 1, 1.0, 1.0))
 
 
 class TestTrainGld:
