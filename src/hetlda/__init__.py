@@ -24,7 +24,6 @@ from .lns import LnsConfig, local_neighbourhood_search
 from .methods import METHOD_NAMES, make_trainer
 from .model_io import (FORMAT_VERSION, dataset_hash, load_model, save_model)
 from .multiclass import (OvoModel, predict_ovo, predict_ovo_batch, train_ovo)
-from .numkit import (covariance_matrix, mean_vector, q_function,
-                     solve_symmetric)
+from .numkit import q_function, solve_symmetric
 
 __version__ = "0.1.0"

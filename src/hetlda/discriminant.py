@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateProjection, DimensionMismatch, EmptyClass
-from .numkit import covariance_matrix, mean_vector, q_function
+from .numkit import q_function
 
 __all__ = [
     "LabeledDataset", "ClassStats", "Priors", "LinearDiscriminant",
@@ -191,10 +191,12 @@ def compute_class_stats(data: LabeledDataset, class_a: int,
                         class_b: int) -> tuple[ClassStats, ClassStats, Priors]:
     """Moments and priors for the two named classes.
 
-    Priors come from the relative counts of the two classes alone. Each
-    class must contribute at least two samples, and its moments must be
-    finite: features too large to square raise DegenerateProjection,
-    since no projection of an infinite covariance has a finite spread.
+    Each class gets the arithmetic mean of its rows and the population
+    covariance about it (divided by n, exactly symmetric). Priors come
+    from the relative counts of the two classes alone. Each class must
+    contribute at least two samples, and its moments must be finite:
+    features too large to square raise DegenerateProjection, since no
+    projection of an infinite covariance has a finite spread.
     """
     moments = []
     for label in (class_a, class_b):
@@ -202,10 +204,13 @@ def compute_class_stats(data: LabeledDataset, class_a: int,
         if idx.size < 2:
             raise EmptyClass(
                 f"class {label} has {idx.size} sample(s); at least 2 required")
+        # the dataset already holds finite float64 n x d rows
         rows = data.features[idx]
         with np.errstate(over="ignore", invalid="ignore"):
-            m = mean_vector(rows)
-            cov = covariance_matrix(rows, m)
+            m = rows.mean(axis=0)
+            centered = rows - m
+            cov = centered.T @ centered / idx.size
+            cov = (cov + cov.T) / 2.0
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(cov))):
             raise DegenerateProjection(
                 f"class {label} moments overflow: the mean or covariance "
@@ -264,21 +269,28 @@ def _gradient(w: np.ndarray, proj: ProjectedStats, stats1: ClassStats,
     return grad_w, grad_w0
 
 
-def decision_values(disc: LinearDiscriminant, features) -> np.ndarray:
-    """w'x - w0 for each row of features."""
+def _as_batch(features, d: int) -> np.ndarray:
+    """features as an n x d float matrix. A scalar or a vector is one
+    sample; any other shape, or another width than d, raises
+    DimensionMismatch."""
     x = np.asarray(features, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != disc.w.shape[0]:
+    batch = x.reshape(1, -1) if x.ndim < 2 else x
+    if batch.ndim != 2 or batch.shape[1] != d:
         raise DimensionMismatch(
-            f"{x.shape[1]} feature columns, discriminant expects {disc.w.shape[0]}")
-    return x @ disc.w - disc.w0
+            f"samples of shape {x.shape}, expected one sample of {d} "
+            f"features or an n x {d} matrix")
+    return batch
+
+
+def decision_values(disc: LinearDiscriminant, features) -> np.ndarray:
+    """w'x - w0 for each row of features (one sample or an n x d matrix)."""
+    return _as_batch(features, disc.w.shape[0]) @ disc.w - disc.w0
 
 
 def classify(disc: LinearDiscriminant, x, class_a: int = 0,
              class_b: int = 1) -> int:
     """Label for a single sample; the boundary w'x == w0 goes to class_a."""
-    value = float(decision_values(disc, np.asarray(x, dtype=float))[0])
+    value = float(decision_values(disc, x)[0])
     return class_a if value >= 0.0 else class_b
 
 
@@ -287,7 +299,8 @@ def training_error_count(disc: LinearDiscriminant, data: LabeledDataset,
                          class_b: int | None = None) -> int:
     """Misclassified-sample count on a two-class dataset.
 
-    By default the smaller label plays the w'x >= w0 side (class_a).
+    By default the smaller label plays the w'x >= w0 side (class_a);
+    class_a and class_b are given both or neither.
     """
     class_a, class_b = _class_pair(data, class_a, class_b)
     side_a = decision_values(disc, data.features) >= 0.0
@@ -298,9 +311,11 @@ def training_error_count(disc: LinearDiscriminant, data: LabeledDataset,
 def _class_pair(data: LabeledDataset, class_a: int | None,
                 class_b: int | None) -> tuple[int, int]:
     # (class_a, class_b) as given, or the two labels present in data,
-    # smaller first, when either is None; found from the label range and
+    # smaller first, when both are None; found from the label range and
     # counts, since np.unique would sort a copy of the labels
-    if class_a is None or class_b is None:
+    if (class_a is None) != (class_b is None):
+        raise ValueError("pass both class_a and class_b, or neither")
+    if class_a is None:
         labels = data.labels
         class_a, class_b = int(labels.min()), int(labels.max())
         if class_a == class_b or np.any((labels != class_a)

@@ -68,8 +68,10 @@ def local_neighbourhood_search(
     gets returned, together with its error count. One matrix product of
     the features with all candidates scores a whole sweep, in blocks of
     rows. Candidate ties go to the lowest component index, + before -,
-    which is the order of a loop over the candidates. Rows labelled
-    neither class_a nor class_b count as errors on both sides. on_sweep,
+    which is the order of a loop over the candidates. class_a and
+    class_b are given both or neither; neither means the two labels of
+    a two-class train, smaller first. Rows labelled neither class_a nor
+    class_b count as errors on both sides. on_sweep,
     when given, is called with (sweep_index, best_count_so_far) after
     each sweep.
     """

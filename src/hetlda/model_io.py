@@ -9,8 +9,6 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
-
 from .discriminant import LabeledDataset, LinearDiscriminant
 from .errors import DimensionMismatch, ParseError, VersionMismatch
 from .multiclass import OvoModel
@@ -24,8 +22,9 @@ def dataset_hash(data: LabeledDataset) -> str:
     """sha256 over the sample array bytes; identifies what was trained on."""
     digest = hashlib.sha256()
     digest.update(str(data.features.shape).encode())
-    digest.update(np.ascontiguousarray(data.features).tobytes())
-    digest.update(np.ascontiguousarray(data.labels).tobytes())
+    # read in place: the dataset's arrays are C-contiguous by construction
+    digest.update(data.features)
+    digest.update(data.labels)
     return digest.hexdigest()
 
 

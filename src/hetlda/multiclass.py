@@ -12,8 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from .discriminant import (LabeledDataset, LinearDiscriminant, _class_names,
-                           decision_values)
+from .discriminant import (LabeledDataset, LinearDiscriminant, _as_batch,
+                           _class_names, decision_values)
 from .errors import EmptyClass
 
 __all__ = ["BinaryTrainer", "OvoModel", "train_ovo", "predict_ovo",
@@ -117,8 +117,7 @@ def predict_ovo(model: OvoModel, x) -> int:
 
 
 def predict_ovo_batch(model: OvoModel, features) -> np.ndarray:
-    """Weighted-vote labels for each row of features."""
-    x = np.asarray(features, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
+    """Weighted-vote labels for each row of features (one sample or an
+    n x d matrix)."""
+    x = _as_batch(features, model.pairs[0][2].w.shape[0])
     return np.argmax(_scores(model, x), axis=1)

@@ -1,4 +1,4 @@
-"""Small numeric kernel: moments, symmetric solves, the normal tail.
+"""Small numeric kernel: symmetric solves and the normal tail.
 
 Thin, contract-checked wrappers around numpy. Everything returns float64
 and never mutates its inputs.
@@ -9,47 +9,13 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyClass
+from .errors import DimensionMismatch
 
-__all__ = ["mean_vector", "covariance_matrix", "solve_symmetric", "q_function"]
+__all__ = ["solve_symmetric", "q_function"]
 
 # relative residual above which an exact solve is abandoned for the
 # minimum-norm least-squares fallback
 _RESIDUAL_RTOL = 1e-8
-
-
-def _as_sample_matrix(samples) -> np.ndarray:
-    try:
-        x = np.asarray(samples, dtype=float)
-    except ValueError as exc:  # ragged input
-        raise DimensionMismatch(f"samples do not form a rectangular matrix: {exc}")
-    if x.ndim != 2:
-        if x.ndim == 1 and x.size == 0:
-            raise EmptyClass("no samples given")
-        raise DimensionMismatch(f"expected an n x d sample matrix, got shape {x.shape}")
-    if x.shape[0] == 0:
-        raise EmptyClass("no samples given")
-    return x
-
-
-def mean_vector(samples) -> np.ndarray:
-    """Arithmetic mean of the rows of an n x d sample matrix."""
-    return _as_sample_matrix(samples).mean(axis=0)
-
-
-def covariance_matrix(samples, mean) -> np.ndarray:
-    """Population covariance (normalized by n) about the supplied mean.
-
-    The result is constructed symmetrically, so M == M.T holds exactly.
-    """
-    x = _as_sample_matrix(samples)
-    m = np.asarray(mean, dtype=float)
-    if m.shape != (x.shape[1],):
-        raise DimensionMismatch(
-            f"mean has shape {m.shape}, samples have {x.shape[1]} columns")
-    centered = x - m
-    cov = centered.T @ centered / x.shape[0]
-    return (cov + cov.T) / 2.0
 
 
 def solve_symmetric(A, b) -> np.ndarray:

@@ -317,15 +317,17 @@ class TestRunBenchmark:
     def test_deterministic_apart_from_timing(self):
         data = two_blob_data(n=80, seed=2)
         plan = CvPlan(folds=4, trials=2, seed=7)
-        methods = [("lda", make_trainer("lda"))]
-        a = run_benchmark(data, methods, plan).methods[0]
-        b = run_benchmark(data, methods, plan).methods[0]
-        assert a.mean_bayes_error == b.mean_bayes_error
-        assert a.bayes_error_std == b.bayes_error_std
-        assert a.accuracy == b.accuracy and a.accuracy_std == b.accuracy_std
-        for ra, rb in zip(a.per_fold, b.per_fold):
-            assert ra.bayes_error == rb.bayes_error
-            assert ra.accuracy == rb.accuracy
+        methods = [("lda", make_trainer("lda")), ("gld", make_trainer("gld"))]
+        first = run_benchmark(data, methods, plan).methods
+        second = run_benchmark(data, methods, plan).methods
+        for a, b in zip(first, second, strict=True):
+            assert a.mean_bayes_error == b.mean_bayes_error
+            assert a.bayes_error_std == b.bayes_error_std
+            assert a.accuracy == b.accuracy
+            assert a.accuracy_std == b.accuracy_std
+            for ra, rb in zip(a.per_fold, b.per_fold):
+                assert ra.bayes_error == rb.bayes_error
+                assert ra.accuracy == rb.accuracy
 
     def test_cells_run_one_at_a_time(self):
         lock = threading.Lock()
@@ -376,17 +378,6 @@ class TestRunBenchmark:
         b = run_benchmark(scaled, methods, plan, standardize=True).methods[0]
         assert a.accuracy == b.accuracy
         assert a.mean_bayes_error == b.mean_bayes_error
-
-    def test_serial_and_pooled_agree(self, monkeypatch):
-        data = two_blob_data(n=60, seed=5)
-        plan = CvPlan(folds=3, trials=2)
-        methods = [("gld", make_trainer("gld"))]
-        monkeypatch.setenv("HETLDA_THREADS", "1")
-        serial = run_benchmark(data, methods, plan).methods[0]
-        monkeypatch.setenv("HETLDA_THREADS", "4")
-        pooled = run_benchmark(data, methods, plan).methods[0]
-        assert serial.mean_bayes_error == pooled.mean_bayes_error
-        assert serial.accuracy == pooled.accuracy
 
 
 class TestReportFormats:

@@ -8,8 +8,8 @@ from hetlda import (ClassStats, DegenerateProjection, DimensionMismatch,
                     EmptyClass, LabeledDataset, LinearDiscriminant, Priors,
                     ProjectedStats, bayes_error, classify, compute_class_stats,
                     decision_values, generate_d1, gradient_bayes_error,
-                    fisher_init, d2_population, project_stats,
-                    training_error_count)
+                    fisher_init, d1_population, d2_population,
+                    project_stats, training_error_count)
 
 from helpers import random_stats
 
@@ -118,11 +118,30 @@ class TestComputeClassStats:
         assert_allclose(priors.pi1, 1 / 3)
         assert_allclose(priors.pi2, 2 / 3)
         assert_allclose(priors.tau, 2.0)
+        # the moments land within 5 standard errors of the generator's
+        # parameters, are exactly symmetric and positive semi-definite
+        for sample, exact in zip((s1, s2), d1_population()[:2]):
+            n, var = sample.count, np.diag(exact.cov)
+            assert np.all(np.abs(sample.mean - exact.mean)
+                          <= 5 * np.sqrt(var / n))
+            spread = np.sqrt((exact.cov ** 2 + np.outer(var, var)) / n)
+            assert np.all(np.abs(sample.cov - exact.cov) <= 5 * spread)
+            assert np.array_equal(sample.cov, sample.cov.T)
+            eigenvalues = np.linalg.eigvalsh(sample.cov)
+            assert eigenvalues.min() >= -1e-12 * eigenvalues.max()
 
     def test_balanced_tau(self):
-        data = LabeledDataset([[0.0], [1.0], [10.0], [11.0]], [0, 0, 1, 1])
-        _, _, priors = compute_class_stats(data, 0, 1)
+        # class 1 is class 0 shifted by 10 along a feature that is
+        # constant in both: the covariance divides by n, not n - 1, keeps
+        # the constant direction at zero and ignores the shift
+        data = LabeledDataset([[0.0, 5.0], [1.0, 5.0], [10.0, 5.0],
+                               [11.0, 5.0]], [0, 0, 1, 1])
+        s1, s2, priors = compute_class_stats(data, 0, 1)
         assert_allclose(priors.tau, 1.0)
+        assert np.array_equal(s1.mean, [0.5, 5.0])
+        assert np.array_equal(s2.mean, [10.5, 5.0])
+        for stats in (s1, s2):
+            assert np.array_equal(stats.cov, [[0.25, 0.0], [0.0, 0.0]])
 
     def test_singleton_class_rejected(self):
         data = LabeledDataset([[0.0], [1.0], [2.0]], [0, 0, 1])
@@ -303,9 +322,18 @@ class TestClassify:
             for x in points:
                 assert classify(scaled, x) == classify(disc, x)
 
+    @pytest.mark.parametrize("x", [4.8, [4.8], [[4.8]]],
+                             ids=["scalar", "vector", "matrix"])
+    def test_one_sample_in_each_accepted_shape(self, x):
+        disc = LinearDiscriminant([1.0], 4.5)
+        assert_allclose(decision_values(disc, x), [0.3])
+        assert classify(disc, x) == 0
+
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            decision_values(LinearDiscriminant([1.0, 0.0], 0.0), [[1.0]])
+        disc = LinearDiscriminant([1.0, 0.0], 0.0)
+        for x in ([[1.0]], 1.0, np.zeros((5, 2, 2))):
+            with pytest.raises(DimensionMismatch):
+                decision_values(disc, x)
 
 
 class TestTrainingErrorCount:
@@ -326,3 +354,11 @@ class TestTrainingErrorCount:
         disc = LinearDiscriminant([1.0], 0.5)
         with pytest.raises(DimensionMismatch, match="3 classes"):
             training_error_count(disc, data)
+
+    def test_class_pair_given_both_or_neither(self):
+        data = LabeledDataset([[0.0], [1.0], [2.0], [3.0]], [1, 1, 0, 0])
+        disc = LinearDiscriminant([1.0], 1.0)
+        assert training_error_count(disc, data, class_a=1, class_b=0) == 3
+        for lone in ({"class_a": 1}, {"class_b": 0}):
+            with pytest.raises(ValueError, match="both"):
+                training_error_count(disc, data, **lone)

@@ -190,6 +190,8 @@ class TestSearch:
             init, data, LnsConfig(max_iters=5, early_stop=5),
             class_a=1, class_b=0)
         assert count == 0
+        with pytest.raises(ValueError, match="both"):
+            local_neighbourhood_search(init, data, class_a=1)
 
     def test_dimension_mismatch(self):
         data = four_points()

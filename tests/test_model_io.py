@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,23 @@ class TestDatasetHash:
         assert len(digest) == 64
         assert set(digest) <= set("0123456789abcdef")
         assert dataset_hash(data) == digest
+        # a fixed dataset's digest, so stored dataset_sha256 values stay
+        # comparable across versions
+        fixed = LabeledDataset([[0.0, 1.5], [2.0, -3.0], [4.0, 0.25]],
+                               [0, 1, 1])
+        assert dataset_hash(fixed) == (
+            "a860763d5bf75219bc51f2ea84b873361a7a8113072db363e8d30e238e5a41a0")
+
+    def test_hashes_the_arrays_in_place(self):
+        features = np.random.default_rng(8).normal(0, 1, (100_000, 8))
+        data = LabeledDataset(features, np.arange(100_000) % 3)
+        tracemalloc.start()
+        try:
+            dataset_hash(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.features.nbytes / 10
 
     def test_sensitive_to_any_change(self):
         _, data = trained_model(seed=7, k=2)

@@ -178,10 +178,19 @@ class TestPredictOvo:
         batch = predict_ovo_batch(model, probe)
         assert batch.tolist() == [predict_ovo(model, x) for x in probe]
 
+    @pytest.mark.parametrize("x", [1.0, [1.0], [[1.0]]],
+                             ids=["scalar", "vector", "matrix"])
+    def test_one_sample_in_each_accepted_shape(self, x):
+        model = rigged([(0, 1, -1, 0.1)], 2)
+        assert predict_ovo(model, x) == 1
+        assert predict_ovo_batch(model, x).tolist() == [1]
+
     def test_dimension_mismatch(self):
         model = rigged([(0, 1, 1, 0.1)], 2)
         with pytest.raises(DimensionMismatch):
             predict_ovo(model, [1.0, 2.0])
+        with pytest.raises(DimensionMismatch):
+            predict_ovo_batch(model, np.ones((5, 1, 1)))
 
     def test_permutation_equivariance(self):
         data = blobs([(0.0, 0.0), (9.0, 0.0), (0.0, 9.0)], 60, seed=7)
