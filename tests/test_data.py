@@ -12,7 +12,7 @@ from hetlda import (CSV_HEADER, CvPlan, DegenerateProjection,
                     LabeledDataset, ParseError, accuracy_score, d1_population,
                     d2_population, default_workers, generate_d1, generate_d2,
                     kfold_split, load_csv, load_matrix_csv, make_trainer,
-                    run_benchmark, save_csv)
+                    predict_ovo_batch, run_benchmark, save_csv, train_ovo)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -378,6 +378,25 @@ class TestRunBenchmark:
         b = run_benchmark(scaled, methods, plan, standardize=True).methods[0]
         assert a.accuracy == b.accuracy
         assert a.mean_bayes_error == b.mean_bayes_error
+
+    def test_serial_and_pooled_agree(self):
+        # every cell the pool runs matches the same cell run by hand
+        data = two_blob_data(n=60, seed=5)
+        plan = CvPlan(folds=3, trials=2)
+        trainer = make_trainer("gld")
+        pooled = run_benchmark(data, [("gld", trainer)], plan).methods[0]
+        serial = []
+        for trial, splits in enumerate(kfold_split(data, plan)):
+            for fold, (train_idx, test_idx) in enumerate(splits):
+                model = train_ovo(data.subset(train_idx), trainer)
+                predicted = predict_ovo_batch(model, data.features[test_idx])
+                serial.append((trial, fold, model.mean_p_e,
+                               accuracy_score(predicted,
+                                              data.labels[test_idx])))
+        assert [(r.trial, r.fold, r.bayes_error, r.accuracy)
+                for r in pooled.per_fold] == serial
+        assert pooled.mean_bayes_error == np.mean([c[2] for c in serial])
+        assert pooled.accuracy == np.mean([c[3] for c in serial])
 
 
 class TestReportFormats:

@@ -2,12 +2,84 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hetlda import DimensionMismatch, q_function, solve_symmetric
+from hetlda import (DimensionMismatch, LabeledDataset, compute_class_stats,
+                    q_function, solve_symmetric)
 
 # Tail probabilities frozen from numerical integration of the standard
 # normal density (adaptive quadrature, abs tol 1e-14).
 Q_AT_1 = 0.15865525393145707
 Q_AT_MINUS_3 = 0.9986501019683699
+
+
+def moments(samples):
+    """Mean and covariance compute_class_stats gives a class of these rows.
+
+    A second, two-row class stands beside it, since the routine always
+    takes a pair of classes.
+    """
+    samples = np.asarray(samples, dtype=float)
+    other = np.zeros((2, samples.shape[1]))
+    data = LabeledDataset(np.vstack([samples, other]),
+                          np.repeat([0, 1], [len(samples), 2]))
+    stats, _, _ = compute_class_stats(data, 0, 1)
+    return stats.mean, stats.cov
+
+
+class TestMeanVector:
+    def test_two_samples(self):
+        mean, _ = moments([[1, 3], [3, 5]])
+        assert np.array_equal(mean, [2, 4])
+
+    def test_matches_generator_parameters(self):
+        # 1000 unit-variance draws land within 3/sqrt(1000) per component.
+        rng = np.random.default_rng(42)
+        mean = np.array([3.86, 3.10, 0.84, 0.84, 1.64, 1.08, 0.26, 0.01])
+        var = np.array([8.41, 12.06, 0.12, 0.22, 1.49, 1.77, 0.35, 2.73])
+        samples = rng.standard_normal((1000, 8)) * np.sqrt(var) + mean
+        bound = 3 * np.sqrt(var) / np.sqrt(1000)
+        assert np.all(np.abs(moments(samples)[0] - mean) < bound)
+
+
+class TestCovarianceMatrix:
+    def test_one_dimensional(self):
+        assert_allclose(moments([[1], [3]])[1], [[1]])
+
+    def test_degenerate_direction(self):
+        _, cov = moments([[1, 0], [-1, 0]])
+        assert_allclose(cov, [[1, 0], [0, 0]])
+
+    def test_population_normalization(self):
+        # Divides by n, not n - 1.
+        _, cov = moments([[0.0], [2.0]])
+        assert_allclose(cov, [[1.0]])
+
+    def test_matches_generator_diagonal(self):
+        rng = np.random.default_rng(7)
+        var = np.array([0.25, 0.75, 1.25, 1.75])
+        samples = rng.standard_normal((2000, 4)) * np.sqrt(var)
+        _, cov = moments(samples)
+        assert_allclose(np.diag(cov), var, rtol=0.1)
+
+    def test_exactly_symmetric(self):
+        rng = np.random.default_rng(3)
+        _, cov = moments(rng.standard_normal((50, 4)))
+        assert np.array_equal(cov, cov.T)
+
+    def test_positive_semidefinite(self):
+        rng = np.random.default_rng(11)
+        _, cov = moments(rng.standard_normal((20, 5)))
+        for _ in range(50):
+            v = rng.standard_normal(5)
+            assert v @ cov @ v >= -1e-10 * (v @ v)
+
+    def test_translation_equivariance(self):
+        rng = np.random.default_rng(19)
+        samples = rng.standard_normal((30, 3))
+        shift = np.array([5.0, -2.0, 100.0])
+        mean, cov = moments(samples)
+        shifted_mean, shifted_cov = moments(samples + shift)
+        assert_allclose(shifted_mean, mean + shift, atol=1e-10)
+        assert_allclose(shifted_cov, cov, atol=1e-10)
 
 
 class TestSolveSymmetric:
