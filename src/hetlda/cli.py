@@ -14,8 +14,8 @@ import time
 import numpy as np
 
 from .baselines import SweepConfig
-from .data import (CvPlan, generate_d1, generate_d2, load_csv,
-                   load_matrix_csv, run_benchmark, save_csv)
+from .data import (_WRITE_BLOCK_ROWS, CvPlan, generate_d1, generate_d2,
+                   load_csv, load_matrix_csv, run_benchmark, save_csv)
 from .errors import HetldaError
 from .gld import GldConfig
 from .lns import LnsConfig
@@ -133,12 +133,15 @@ def cmd_predict(args) -> int:
     predicted = predict_ovo_batch(model, features)
     names = model.class_names
     with open(args.out, "w") as handle:
-        for label in predicted:
-            handle.write(names[label] + "\n")
+        for start in range(0, predicted.shape[0], _WRITE_BLOCK_ROWS):
+            block = predicted[start:start + _WRITE_BLOCK_ROWS].tolist()
+            handle.write("".join([names[label] + "\n" for label in block]))
     print(f"wrote {predicted.shape[0]} predictions to {args.out}")
     if data is not None:
-        acc = float(np.mean([names[p] == data.class_names[a]
-                             for p, a in zip(predicted, data.labels)]))
+        # each model class as the data's label of the same name, or -1
+        same = {name: k for k, name in enumerate(data.class_names)}
+        as_data = np.array([same.get(name, -1) for name in names])
+        acc = float(np.mean(as_data[predicted] == data.labels))
         print(f"accuracy: {acc:.4f}")
     return 0
 

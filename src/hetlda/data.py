@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+import warnings
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -58,13 +59,75 @@ def _label_index(width: int, label_column: int) -> int:
     return col
 
 
+def _read_plain(path: str, has_header: bool, label_column: int | None
+                ) -> tuple[np.ndarray, list[str]] | None:
+    """What _read returns, for a plain numeric file, or None.
+
+    A file is plain when no line holds a quote or a NUL or is longer
+    than the csv field limit, every data line has the first one's width,
+    and np.loadtxt parses every feature cell to a finite value: the csv
+    module then splits each line at its commas, and loadtxt and float
+    read the same cells to the same doubles. Any other file, and so
+    every error, is left to _read's csv loop. Lines are split as the csv
+    loop's file object splits them, so skiprows counts the same lines.
+    """
+    limit = csv.field_size_limit()
+    labels = []
+    rows = skip = 0
+    width = col = None
+    with open(path, newline="") as handle:
+        encoding = handle.encoding
+        try:
+            for number, line in enumerate(handle, 1):
+                if line in ("\n", "\r\n", "\r"):  # rows csv reads as []
+                    continue
+                if '"' in line or "\0" in line or len(line) > limit:
+                    return None
+                if has_header and not skip:
+                    skip = number
+                    continue
+                cells = line.split(",")
+                if width is None:
+                    width = len(cells)
+                    if label_column is not None:
+                        try:
+                            col = _label_index(width, label_column)
+                        except ParseError:
+                            return None
+                elif len(cells) != width:
+                    return None
+                if col is not None:
+                    labels.append(cells[col].strip())
+                rows += 1
+        except UnicodeDecodeError:
+            return None
+    if not rows:
+        return None
+    usecols = [c for c in range(width) if c != col]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(path, delimiter=",", usecols=usecols,
+                                skiprows=skip, comments=None, ndmin=2,
+                                encoding=encoding)
+    except (ValueError, Warning):
+        return None
+    if values.shape != (rows, len(usecols)) or not np.isfinite(values).all():
+        return None
+    return values, labels
+
+
 def _read(path: str, has_header: bool, label_column: int | None
           ) -> tuple[np.ndarray, list[str]]:
     """The feature matrix and the stripped label cells of a file, read in
     one pass: each non-empty row is width-checked and parsed as it
     arrives, so an error locates the first fault in file order. With
     label_column None every cell is a feature. A row the csv module
-    cannot split (a cell past its field size limit) is a ParseError."""
+    cannot split (a cell past its field size limit) is a ParseError.
+    Plain numeric files take _read_plain's numpy path instead."""
+    plain = _read_plain(path, has_header, label_column)
+    if plain is not None:
+        return plain
     values = array("d")
     labels = []
     width = col = None
@@ -121,12 +184,22 @@ def load_matrix_csv(path: str, has_header: bool = False) -> np.ndarray:
     return _read(path, has_header, None)[0]
 
 
+_WRITE_BLOCK_ROWS = 1024
+
+
 def save_csv(data: LabeledDataset, path: str) -> None:
-    """Write features then an integer label column, full precision."""
+    """Write features then an integer label column, full precision, in
+    the bytes csv.writer gives: no cell needs quoting, and rows end in
+    CRLF. Rows are formatted a block at a time, so only one block is
+    ever held as Python numbers."""
+    row = ",".join(["%.17g"] * data.n_features) + ",%d\r\n"
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        for x, label in zip(data.features, data.labels):
-            writer.writerow([f"{v:.17g}" for v in x] + [int(label)])
+        for start in range(0, data.n_samples, _WRITE_BLOCK_ROWS):
+            block = slice(start, start + _WRITE_BLOCK_ROWS)
+            handle.write("".join([
+                row % (*x, label) for x, label in
+                zip(data.features[block].tolist(),
+                    data.labels[block].tolist())]))
 
 
 # ---------------------------------------------------------------------------

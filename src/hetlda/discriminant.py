@@ -282,6 +282,17 @@ def _as_batch(features, d: int) -> np.ndarray:
     return batch
 
 
+def _one_sample(x, d: int) -> np.ndarray:
+    """x as a 1 x d matrix: a scalar, a vector or a one-row matrix. A
+    matrix of any other row count raises DimensionMismatch."""
+    batch = _as_batch(x, d)
+    if batch.shape[0] != 1:
+        raise DimensionMismatch(
+            f"{batch.shape[0]} samples where one sample of {d} features "
+            "is expected")
+    return batch
+
+
 def decision_values(disc: LinearDiscriminant, features) -> np.ndarray:
     """w'x - w0 for each row of features (one sample or an n x d matrix)."""
     return _as_batch(features, disc.w.shape[0]) @ disc.w - disc.w0
@@ -290,7 +301,7 @@ def decision_values(disc: LinearDiscriminant, features) -> np.ndarray:
 def classify(disc: LinearDiscriminant, x, class_a: int = 0,
              class_b: int = 1) -> int:
     """Label for a single sample; the boundary w'x == w0 goes to class_a."""
-    value = float(decision_values(disc, x)[0])
+    value = float(decision_values(disc, _one_sample(x, disc.w.shape[0]))[0])
     return class_a if value >= 0.0 else class_b
 
 

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .discriminant import (LabeledDataset, LinearDiscriminant, _as_batch,
-                           _class_names, decision_values)
+                           _class_names, _one_sample, decision_values)
 from .errors import EmptyClass
 
 __all__ = ["BinaryTrainer", "OvoModel", "train_ovo", "predict_ovo",
@@ -113,6 +113,7 @@ def _scores(model: OvoModel, features: np.ndarray) -> np.ndarray:
 def predict_ovo(model: OvoModel, x) -> int:
     """Weighted-vote label for a single sample; ties go to the lowest
     class index."""
+    x = _one_sample(x, model.pairs[0][2].w.shape[0])
     return int(predict_ovo_batch(model, x)[0])
 
 

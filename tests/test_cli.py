@@ -10,7 +10,8 @@ import pytest
 
 from hetlda import (CSV_HEADER, CvPlan, GldConfig, LabeledDataset, LnsConfig,
                     OvoModel, SweepConfig, cli, load_csv, load_model,
-                    make_trainer, save_csv, save_model, train_ovo)
+                    make_trainer, predict_ovo_batch, save_csv, save_model,
+                    train_ovo)
 from hetlda.cli import main
 
 
@@ -79,7 +80,30 @@ class TestGenerate:
         assert len(out.read_text().splitlines()) == 6000
 
 
+def module_run(*argv):
+    # python -m hetlda in a child process, so that stderr shows anything
+    # the program or numpy would print there
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "hetlda", *argv], env=env,
+                          capture_output=True, text=True)
+
+
 class TestTrain:
+    @pytest.mark.parametrize("text, header", [("", []),
+                                              ("a,b,label\n", ["--header"])],
+                             ids=["empty", "header_only"])
+    def test_file_without_rows_gives_one_error_line(self, tmp_path, text,
+                                                    header):
+        data = tmp_path / "rows.csv"
+        data.write_text(text)
+        done = module_run("train", "gld", str(data), "--label-col", "-1",
+                          *header, "--out", str(tmp_path / "m.json"))
+        assert done.returncode == 1
+        assert done.stderr == "error: no data rows\n"
+
     def test_binary_model(self, tmp_path, capsys):
         data = small_csv(tmp_path)
         out = str(tmp_path / "model.json")
@@ -340,6 +364,34 @@ class TestPredict:
         assert code == 0
         assert out.read_text().split() == ["0"] * 20 + ["1"] * 20
         assert "accuracy: 0.5000" in stdout
+
+
+class TestPredictOutput:
+    def test_matches_a_row_by_row_writer_past_one_block(self, tmp_path,
+                                                         capsys):
+        rng = np.random.default_rng(4)
+        names = np.array(["ash", "birch", "cedar"])
+        labels = rng.integers(0, 3, 2500)
+        features = rng.normal(0, 1, (2500, 2)) + 4.0 * labels[:, None]
+        path = tmp_path / "trees.csv"
+        path.write_text("".join(f"{x:.17g},{y:.17g},{names[k]}\n"
+                                for (x, y), k in zip(features, labels)))
+        model_path = str(tmp_path / "model.json")
+        run(capsys, "train", "lda", str(path), "--label-col", "2",
+            "--out", model_path)
+        out = tmp_path / "pred.txt"
+        code, stdout, _ = run(capsys, "predict", model_path, str(path),
+                              "--label-col", "2", "--out", str(out))
+        assert code == 0
+        model = load_model(model_path)[0]
+        data = load_csv(str(path), label_column=2)
+        predicted = [model.class_names[p]
+                     for p in predict_ovo_batch(model, data.features)]
+        assert out.read_text() == "".join(name + "\n" for name in predicted)
+        truth = [data.class_names[a] for a in data.labels]
+        acc = float(np.mean([p == t for p, t in zip(predicted, truth)]))
+        assert f"accuracy: {acc:.4f}\n" in stdout
+        assert len(set(predicted)) == 3 and acc < 1.0
 
 
 class TestBenchmark:

@@ -1,4 +1,6 @@
+import csv
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import hetlda.data
 from hetlda import (CSV_HEADER, CvPlan, DegenerateProjection,
                     InconsistentWidth, InfeasibleStratification,
                     LabeledDataset, ParseError, accuracy_score, d1_population,
@@ -161,7 +164,125 @@ class TestLoadCsv:
         assert_allclose(load_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
 
 
+# Files on which a naive np.loadtxt reading disagrees with the csv loop,
+# plus plain files that the numpy path must read to the same result.
+CSV_TRAPS = {
+    "wider_row": "1.0,0\n2.0,1,\n",
+    "header_after_blank_line": "\n1,2,3\n4,5,6\n",
+    "nul_in_label": "1.0,A\x00\n2.0,B\n",
+    "padded_labels": "1.0, B \n2.0,A\n",
+    "underscore_cell": "1_0,0\n2.0,1\n",
+    "arabic_digit_cell": "\u0661\u0662,0\n2.0,1\n",
+    "quoted_label_with_comma": '1.0,"a,b"\n2.0,c\n',
+    "quoted_labels": '1.0,"A"\n2.0,B\n',
+    "quoted_label_with_newline": '1.0,"A\nB"\n2.0,C\n',
+    "whitespace_line": "1.5\n  \n2.5\n",
+    "cr_line_endings": "1.0,0\r2.0,1\r",
+    "cell_past_field_limit": "1.0,0\n" + "1" * 200_000 + ",1\n",
+    "nan_cell": "1.0,0\nnan,1\n",
+    "inf_cell": "1.0,0\n-inf,1\n",
+    "empty_file": "",
+    "header_only": "a,b\n",
+    "plain_crlf": "1.5,2,0\r\n-0.0,5e-324,1\r\n",
+    "plain_blank_lines": "\nf,g,h\n\n 1.5 ,2,0\n\n3,4e8, 1\n\n",
+    "plain_cr_blank_lines": "1.5,0\r\r2.5,1\r\r",
+}
+
+
+def load_outcome(load, path, **kwargs):
+    """The arrays and names a load returns, or its error's type, text,
+    row and column."""
+    try:
+        result = load(path, **kwargs)
+    except (ParseError, ValueError) as exc:
+        return (type(exc), str(exc), getattr(exc, "row", None),
+                getattr(exc, "column", None))
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.shape, result.tobytes()
+    return (result.features.dtype, result.features.shape,
+            result.features.tobytes(), result.labels.tolist(),
+            result.class_names)
+
+
+class TestNumpyPath:
+    LOADS = ((load_matrix_csv, {}), (load_csv, {"label_column": -1}),
+             (load_csv, {"label_column": 0}))
+
+    @pytest.mark.parametrize("has_header", [False, True])
+    @pytest.mark.parametrize("text", CSV_TRAPS.values(), ids=CSV_TRAPS.keys())
+    def test_agrees_with_the_csv_loop(self, tmp_path, monkeypatch, text,
+                                      has_header):
+        path = write(tmp_path, text)
+        both = [load_outcome(load, path, has_header=has_header, **kwargs)
+                for load, kwargs in self.LOADS]
+        monkeypatch.setattr(hetlda.data, "_read_plain", lambda *args: None)
+        loop = [load_outcome(load, path, has_header=has_header, **kwargs)
+                for load, kwargs in self.LOADS]
+        assert both == loop
+
+    @pytest.mark.parametrize("name, has_header", [
+        ("plain_crlf", False), ("plain_blank_lines", True),
+        ("plain_cr_blank_lines", False)])
+    def test_answers_for_plain_files(self, tmp_path, name, has_header):
+        path = write(tmp_path, CSV_TRAPS[name])
+        for _load, kwargs in self.LOADS:
+            column = kwargs.get("label_column")
+            assert hetlda.data._read_plain(path, has_header, column) \
+                is not None
+
+    @pytest.mark.parametrize("name", [
+        "wider_row", "nul_in_label", "underscore_cell", "arabic_digit_cell",
+        "quoted_label_with_comma", "quoted_labels",
+        "quoted_label_with_newline", "cell_past_field_limit", "nan_cell",
+        "inf_cell", "empty_file", "header_only"])
+    def test_leaves_these_traps_to_the_csv_loop(self, tmp_path, name):
+        path = write(tmp_path, CSV_TRAPS[name])
+        for column in (None, -1):
+            assert hetlda.data._read_plain(path, name == "header_only",
+                                           column) is None
+
+
+def reference_save_csv(data, path):
+    # The csv.writer loop that save_csv's block formatting must match
+    # byte for byte.
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        for x, label in zip(data.features, data.labels):
+            writer.writerow([f"{v:.17g}" for v in x] + [int(label)])
+
+
 class TestSaveCsv:
+    def test_bytes_match_the_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        features = rng.normal(size=(2500, 3)) * 10.0 ** rng.uniform(
+            -300, 300, size=(2500, 3))
+        features[:6] = [[-0.0, 0.0, 5e-324], [-5e-324, 1.7976931348623157e308,
+                        -1.7976931348623157e308], [1.0, -2.0, 3e15],
+                        [2.0**53, 1e16, 123456789.0], [0.1, 1 / 3, 2 / 3],
+                        [1e-5, 1e-4, 1e17]]
+        labels = rng.integers(0, 13, 2500)
+        labels[:3] = [10, 12, 0]
+        data = LabeledDataset(features, labels)
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        save_csv(data, str(ours))
+        reference_save_csv(data, str(ref))
+        assert ours.read_bytes() == ref.read_bytes()
+
+    def test_peak_memory_stays_far_below_the_matrix_as_floats(self,
+                                                              tmp_path):
+        # .tolist() on the whole matrix alone would hold 160 000 floats
+        rng = np.random.default_rng(0)
+        data = LabeledDataset(rng.normal(size=(20000, 8)),
+                              rng.integers(0, 3, 20000))
+        whole = data.features.size * sys.getsizeof(1.0)
+        tracemalloc.start()
+        try:
+            save_csv(data, str(tmp_path / "out.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole / 4
+
     def test_round_trip_is_exact(self, tmp_path):
         data = generate_d2(seed=3).subset(np.arange(0, 6000, 100))
         path = str(tmp_path / "out.csv")

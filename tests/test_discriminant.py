@@ -335,6 +335,15 @@ class TestClassify:
             with pytest.raises(DimensionMismatch):
                 decision_values(disc, x)
 
+    def test_more_than_one_row_rejected(self):
+        # classify answers for one sample, never for a matrix's first row
+        disc = LinearDiscriminant([1.0], 0.0)
+        for x in ([[1.0], [-1.0]], [[-1.0], [1.0]], np.zeros((0, 1))):
+            with pytest.raises(DimensionMismatch):
+                classify(disc, x)
+        assert classify(LinearDiscriminant([1.0, 2.0], 0.0),
+                        [[-1.0, 0.0]]) == 1
+
 
 class TestTrainingErrorCount:
     def test_separated_data(self):

@@ -192,6 +192,14 @@ class TestPredictOvo:
         with pytest.raises(DimensionMismatch):
             predict_ovo_batch(model, np.ones((5, 1, 1)))
 
+    def test_more_than_one_row_rejected(self):
+        # predict_ovo answers for one sample, never for a matrix's first row
+        model = rigged([(0, 1, 1, 0.1)], 2)
+        for x in ([[1.0], [-1.0]], [[-1.0], [1.0]], np.zeros((0, 1))):
+            with pytest.raises(DimensionMismatch):
+                predict_ovo(model, x)
+        assert predict_ovo_batch(model, [[1.0], [-1.0]]).tolist() == [0, 1]
+
     def test_permutation_equivariance(self):
         data = blobs([(0.0, 0.0), (9.0, 0.0), (0.0, 9.0)], 60, seed=7)
         perm = np.array([2, 0, 1])          # label k becomes perm[k]
