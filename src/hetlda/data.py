@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminant import ClassStats, LabeledDataset, Priors
-from .errors import (HetldaError, InconsistentWidth,
+from .discriminant import (ClassStats, LabeledDataset, Priors, _fill_moments,
+                           _share_moments)
+from .errors import (DegenerateProjection, HetldaError, InconsistentWidth,
                      InfeasibleStratification, ParseError)
 from .multiclass import BinaryTrainer, predict_ovo_batch, train_ovo
 
@@ -59,12 +60,21 @@ def _label_index(width: int, label_column: int) -> int:
     return col
 
 
+def _one_line_row(line: str) -> bool:
+    """Whether the csv module reads line as one row that ends on it, so
+    that no quote opened on line runs into the next."""
+    reader = csv.reader([line, ""])
+    next(reader)
+    return reader.line_num == 1
+
+
 def _read_plain(path: str, has_header: bool, label_column: int | None
                 ) -> tuple[np.ndarray, list[str]] | None:
     """What _read returns, for a plain numeric file, or None.
 
-    A file is plain when no line holds a quote or a NUL or is longer
-    than the csv field limit, every data line has the first one's width,
+    A file is plain when no line holds a NUL or is longer than the csv
+    field limit, no data line holds a quote, a header line holds only
+    quotes that close on it, every data line has the first one's width,
     and np.loadtxt parses every feature cell to a finite value: the csv
     module then splits each line at its commas, and loadtxt and float
     read the same cells to the same doubles. Any other file, and so
@@ -81,11 +91,15 @@ def _read_plain(path: str, has_header: bool, label_column: int | None
             for number, line in enumerate(handle, 1):
                 if line in ("\n", "\r\n", "\r"):  # rows csv reads as []
                     continue
-                if '"' in line or "\0" in line or len(line) > limit:
+                if "\0" in line or len(line) > limit:
                     return None
                 if has_header and not skip:
+                    if '"' in line and not _one_line_row(line):
+                        return None
                     skip = number
                     continue
+                if '"' in line:
+                    return None
                 cells = line.split(",")
                 if width is None:
                     width = len(cells)
@@ -389,34 +403,67 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
 
-def _standardizer(train: LabeledDataset):
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)
+def _standardizer(rows: np.ndarray):
+    """The map x -> (x - mean) / std fitted on rows, a constant column
+    keeping std 1. A spread too large to compute raises
+    DegenerateProjection: dividing by an infinite std would silently
+    zero the column."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = rows.mean(axis=0)
+        std = rows.std(axis=0)
+    finite = np.isfinite(mean) & np.isfinite(std)
+    if not finite.all():
+        raise DegenerateProjection(
+            f"feature {int(np.argmin(finite)) + 1} cannot be standardized: "
+            "its mean or spread on the training fold is not finite")
     std = np.where(std > 0, std, 1.0)
     return lambda x: (x - mean) / std
 
 
-def _run_cell(data: LabeledDataset, trainer: BinaryTrainer,
-              train_idx: np.ndarray, test_idx: np.ndarray,
-              trial: int, fold: int, standardize: bool) -> FoldRecord:
-    train = data.subset(train_idx)
+def _failed(trial: int, fold: int, exc: Exception) -> FoldRecord:
+    return FoldRecord(trial, fold, math.nan, math.nan, math.nan,
+                      failure=f"{type(exc).__name__}: {exc}")
+
+
+def _run_fold(data: LabeledDataset, trainers: list[BinaryTrainer],
+              train_idx: np.ndarray, test_idx: np.ndarray, trial: int,
+              fold: int, standardize: bool) -> list[FoldRecord]:
+    """One cell per trainer, in order, on one fold. The cells share the
+    fold's class moments and, with standardize, its fitted scaling; both
+    are dropped when the fold ends."""
     test_features = data.features[test_idx]
+    transform = None
     if standardize:
-        transform = _standardizer(train)
-        train = LabeledDataset(transform(train.features), train.labels,
-                               train.class_names)
+        try:
+            transform = _standardizer(data.features[train_idx])
+        except DegenerateProjection as exc:
+            return [_failed(trial, fold, exc)] * len(trainers)
         test_features = transform(test_features)
-    try:
-        start = time.perf_counter()
-        model = train_ovo(train, trainer)
-        elapsed = time.perf_counter() - start
-        predicted = predict_ovo_batch(model, test_features)
-        acc = accuracy_score(predicted, data.labels[test_idx])
-        return FoldRecord(trial, fold, model.mean_p_e, acc, elapsed)
-    except (HetldaError, ArithmeticError, ValueError,
-            np.linalg.LinAlgError) as exc:
-        return FoldRecord(trial, fold, math.nan, math.nan, math.nan,
-                          failure=f"{type(exc).__name__}: {exc}")
+    moments = {}
+    records = []
+    for trainer in trainers:
+        # Every cell takes its own training subset: perfbench's tracer
+        # opens the cell's span at that call. Its rows equal every other
+        # cell's of the fold, so the fold's moments are its moments;
+        # those not yet computed are filled before the clock starts.
+        train = data.subset(train_idx)
+        try:
+            if transform is not None:
+                train = LabeledDataset(transform(train.features),
+                                       train.labels, train.class_names)
+            _share_moments(train, moments)
+            _fill_moments(train)
+            start = time.perf_counter()
+            model = train_ovo(train, trainer)
+            elapsed = time.perf_counter() - start
+            predicted = predict_ovo_batch(model, test_features)
+            acc = accuracy_score(predicted, data.labels[test_idx])
+            records.append(FoldRecord(trial, fold, model.mean_p_e, acc,
+                                      elapsed))
+        except (HetldaError, ArithmeticError, ValueError,
+                np.linalg.LinAlgError) as exc:
+            records.append(_failed(trial, fold, exc))
+    return records
 
 
 def default_workers() -> int:
@@ -434,28 +481,29 @@ def run_benchmark(data: LabeledDataset,
     Every method x trial x fold cell trains on the train split (one-vs-
     one when K > 2), records the model error on the training fold and
     the accuracy on the test fold, and times the training call. Cells
-    run one at a time, so each train_time is the trainer's own time; a
-    cell whose trainer raises is recorded as a failure and excluded from
-    the aggregates. Standardization, when enabled, fits the scaling on
-    each training fold only.
+    run one at a time, and each class's moments are computed once per
+    fold, before any method's clock starts, so each train_time is the
+    trainer's own time given those moments; a cell whose trainer raises
+    is recorded as a failure and excluded from the aggregates.
+    Standardization, when enabled, fits the scaling on each training
+    fold only; a fold where it cannot fails every cell of that fold.
     """
     if not methods:
         raise ValueError("need at least one method")
     plan = plan or CvPlan()
     splits = kfold_split(data, plan)
-    jobs = [(trainer, train_idx, test_idx, trial, fold)
-            for _name, trainer in methods
+    trainers = [trainer for _name, trainer in methods]
+    jobs = [(train_idx, test_idx, trial, fold)
             for trial in range(plan.trials)
             for fold, (train_idx, test_idx) in enumerate(splits[trial])]
     # one pool thread, on which perfbench's tracer opens data.cell spans
     with ThreadPoolExecutor(max_workers=default_workers()) as pool:
-        records = list(pool.map(
-            lambda job: _run_cell(data, *job, standardize), jobs))
+        folds = list(pool.map(
+            lambda job: _run_fold(data, trainers, *job, standardize), jobs))
 
     rows = []
-    per_method = len(records) // len(methods)
     for m, (name, _trainer) in enumerate(methods):
-        cells = records[m * per_method:(m + 1) * per_method]
+        cells = [fold[m] for fold in folds]
         ok = [c for c in cells if c.failure is None]
         if ok:
             bayes = np.array([c.bayes_error for c in ok])

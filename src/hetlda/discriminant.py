@@ -59,13 +59,17 @@ class LabeledDataset:
 
     labels take values in [0, K) where K = max(label)+1; class_names is a
     list or tuple of exactly K strings and names class k at index k,
-    ("0", ..., "K-1") when not given. Arrays are normalized to
-    float64/int64 and marked read-only.
+    ("0", ..., "K-1") when not given, which needs K <= n_samples. Arrays
+    are normalized to float64/int64 and marked read-only.
     """
 
     features: np.ndarray
     labels: np.ndarray
     class_names: tuple[str, ...] | None = None
+    # label -> (mean, cov, count) of each class whose moments
+    # compute_class_stats has computed on these rows; never an error
+    _moments: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.features, dtype=float)
@@ -90,10 +94,17 @@ class LabeledDataset:
         y = y.astype(np.int64, copy=False)
         if y.min() < 0:
             raise ValueError("labels must be non-negative")
+        top = int(y.max())
+        if self.class_names is None and top >= y.shape[0]:
+            # default names are one per label up to the largest, so a
+            # sparse label would cost memory in proportion to its value
+            raise ValueError(
+                f"label {top} is not below the row count {y.shape[0]}; "
+                "relabel the classes as 0, ..., K-1 or pass class_names")
         object.__setattr__(self, "features", _readonly(x))
         object.__setattr__(self, "labels", _readonly(y))
         object.__setattr__(self, "class_names", _class_names(
-            self.class_names, int(y.max()) + 1, DimensionMismatch))
+            self.class_names, top + 1, DimensionMismatch))
 
     @property
     def n_samples(self) -> int:
@@ -196,29 +207,58 @@ def compute_class_stats(data: LabeledDataset, class_a: int,
     from the relative counts of the two classes alone. Each class must
     contribute at least two samples, and its moments must be finite:
     features too large to square raise DegenerateProjection, since no
-    projection of an infinite covariance has a finite spread.
+    projection of an infinite covariance has a finite spread. A class's
+    moments are computed once per dataset and then read from its cache.
     """
-    moments = []
-    for label in (class_a, class_b):
-        idx = data.class_indices(label)
-        if idx.size < 2:
-            raise EmptyClass(
-                f"class {label} has {idx.size} sample(s); at least 2 required")
-        # the dataset already holds finite float64 n x d rows
-        rows = data.features[idx]
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = rows.mean(axis=0)
-            centered = rows - m
-            cov = centered.T @ centered / idx.size
-            cov = (cov + cov.T) / 2.0
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(cov))):
-            raise DegenerateProjection(
-                f"class {label} moments overflow: the mean or covariance "
-                "is not finite")
-        moments.append((m, cov, idx.size))
-    (m1, c1, n1), (m2, c2, n2) = moments
+    (m1, c1, n1), (m2, c2, n2) = (_class_moments(data, label)
+                                  for label in (class_a, class_b))
     priors = Priors(n1 / (n1 + n2), n2 / (n1 + n2))
     return ClassStats(m1, c1, n1), ClassStats(m2, c2, n2), priors
+
+
+def _class_moments(data: LabeledDataset,
+                   label: int) -> tuple[np.ndarray, np.ndarray, int]:
+    # (mean, cov, count) of one class, from data's cache or computed and
+    # cached; the arrays are read-only, so ClassStats keeps them uncopied
+    cached = data._moments.get(label)
+    if cached is not None:
+        return cached
+    idx = data.class_indices(label)
+    if idx.size < 2:
+        raise EmptyClass(
+            f"class {label} has {idx.size} sample(s); at least 2 required")
+    # the dataset already holds finite float64 n x d rows
+    rows = data.features[idx]
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = rows.mean(axis=0)
+        centered = rows - m
+        cov = centered.T @ centered / idx.size
+        cov = (cov + cov.T) / 2.0
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(cov))):
+        raise DegenerateProjection(
+            f"class {label} moments overflow: the mean or covariance "
+            "is not finite")
+    m.setflags(write=False)
+    cov.setflags(write=False)
+    data._moments[label] = cached = (m, cov, idx.size)
+    return cached
+
+
+def _fill_moments(data: LabeledDataset) -> None:
+    """Cache the moments of every class of data that has them. A class
+    that raises is left out, so the call that needs it raises again."""
+    for label in range(data.n_classes):
+        try:
+            _class_moments(data, label)
+        except (EmptyClass, DegenerateProjection):
+            pass
+
+
+def _share_moments(data: LabeledDataset, moments: dict) -> None:
+    """Make moments data's cache, read and filled in place. Whoever else
+    holds moments must see each class's rows exactly as data holds them,
+    in the same order, since the moments depend on that order."""
+    object.__setattr__(data, "_moments", moments)
 
 
 def project_stats(disc: LinearDiscriminant, stats1: ClassStats,

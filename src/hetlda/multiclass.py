@@ -13,7 +13,8 @@ from typing import Callable
 import numpy as np
 
 from .discriminant import (LabeledDataset, LinearDiscriminant, _as_batch,
-                           _class_names, _one_sample, decision_values)
+                           _class_names, _fill_moments, _one_sample,
+                           _share_moments, decision_values)
 from .errors import EmptyClass
 
 __all__ = ["BinaryTrainer", "OvoModel", "train_ovo", "predict_ovo",
@@ -81,20 +82,33 @@ def train_ovo(data: LabeledDataset, trainer: BinaryTrainer) -> OvoModel:
     """Train one binary rule per unordered class pair.
 
     Each pair sees only its own samples; the other K-2 classes are
-    ignored. Every class must contribute at least two samples.
+    ignored. Every class must contribute at least two samples. With two
+    classes the trainer gets data itself; with more, each class's
+    moments are computed once on data and shared with its pairs.
     """
     k = data.n_classes
     if k < 2:
         raise EmptyClass("need at least two classes")
-    for label in range(k):
-        count = data.class_indices(label).size
+    counts = np.bincount(data.labels, minlength=k)
+    for label, count in enumerate(counts):
         if count < 2:
             raise EmptyClass(f"class {label} has {count} samples")
+    if k == 2:
+        disc, p_e = trainer(data, 0, 1)
+        return OvoModel(((0, 1, disc, float(p_e)),), k, data.class_names)
+    _fill_moments(data)
+    # each class's row indices in ascending order
+    members = np.split(np.argsort(data.labels, kind="stable"),
+                       np.cumsum(counts)[:-1])
     pairs = []
     for a in range(k):
         for b in range(a + 1, k):
-            subset = data.subset(np.flatnonzero(
-                (data.labels == a) | (data.labels == b)))
+            subset = data.subset(np.sort(
+                np.concatenate((members[a], members[b])), kind="stable"))
+            # the subset holds both classes' rows in data's order, so
+            # data's moments are exactly its own
+            _share_moments(subset, {c: data._moments[c] for c in (a, b)
+                                    if c in data._moments})
             disc, p_e = trainer(subset, a, b)
             pairs.append((a, b, disc, float(p_e)))
     return OvoModel(tuple(pairs), k, data.class_names)

@@ -4,13 +4,15 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import hetlda.data
-from hetlda import (CSV_HEADER, CvPlan, DegenerateProjection,
+import hetlda.methods
+from hetlda import (CSV_HEADER, METHOD_NAMES, CvPlan, DegenerateProjection,
                     InconsistentWidth, InfeasibleStratification,
                     LabeledDataset, ParseError, accuracy_score, d1_population,
                     d2_population, default_workers, generate_d1, generate_d2,
@@ -30,6 +32,25 @@ def two_blob_data(n=100, seed=0):
                           rng.normal(3, 1, (n // 2, 2))])
     labels = np.repeat([0, 1], n // 2)
     return LabeledDataset(features, labels)
+
+
+def three_class_data(n_per_class=40, seed=0):
+    # overlapping gamma classes, d=3
+    rng = np.random.default_rng(seed)
+    shapes = ((1.5, 3.0, 2.0), (3.0, 1.5, 3.5), (2.2, 2.2, 1.5))
+    features = np.vstack([rng.gamma(shape, 1.0, (n_per_class, 3))
+                          for shape in shapes])
+    labels = np.repeat([0, 1, 2], n_per_class)
+    order = rng.permutation(labels.size)  # classes interleaved
+    return LabeledDataset(features[order], labels[order])
+
+
+def standardized(train_features, test_features):
+    # the scaling run_benchmark fits on a training fold, written out
+    mean = train_features.mean(axis=0)
+    std = train_features.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    return (train_features - mean) / std, (test_features - mean) / std
 
 
 class TestLoadCsv:
@@ -176,6 +197,8 @@ CSV_TRAPS = {
     "quoted_label_with_comma": '1.0,"a,b"\n2.0,c\n',
     "quoted_labels": '1.0,"A"\n2.0,B\n',
     "quoted_label_with_newline": '1.0,"A\nB"\n2.0,C\n',
+    "quoted_header": '"f0","f 1","label"\r\n1.5,2,0\r\n3,4,1\r\n',
+    "quoted_header_running_on": '"f0,label\n1.0,0"\n2.0,1\n3.0,0\n',
     "whitespace_line": "1.5\n  \n2.5\n",
     "cr_line_endings": "1.0,0\r2.0,1\r",
     "cell_past_field_limit": "1.0,0\n" + "1" * 200_000 + ",1\n",
@@ -222,7 +245,7 @@ class TestNumpyPath:
 
     @pytest.mark.parametrize("name, has_header", [
         ("plain_crlf", False), ("plain_blank_lines", True),
-        ("plain_cr_blank_lines", False)])
+        ("plain_cr_blank_lines", False), ("quoted_header", True)])
     def test_answers_for_plain_files(self, tmp_path, name, has_header):
         path = write(tmp_path, CSV_TRAPS[name])
         for _load, kwargs in self.LOADS:
@@ -234,12 +257,14 @@ class TestNumpyPath:
         "wider_row", "nul_in_label", "underscore_cell", "arabic_digit_cell",
         "quoted_label_with_comma", "quoted_labels",
         "quoted_label_with_newline", "cell_past_field_limit", "nan_cell",
-        "inf_cell", "empty_file", "header_only"])
+        "inf_cell", "empty_file", "header_only", "quoted_header",
+        "quoted_header_running_on"])
     def test_leaves_these_traps_to_the_csv_loop(self, tmp_path, name):
         path = write(tmp_path, CSV_TRAPS[name])
+        # a quoted header is plain only when it is read as a header
+        has_header = name in ("header_only", "quoted_header_running_on")
         for column in (None, -1):
-            assert hetlda.data._read_plain(path, name == "header_only",
-                                           column) is None
+            assert hetlda.data._read_plain(path, has_header, column) is None
 
 
 def reference_save_csv(data, path):
@@ -502,22 +527,124 @@ class TestRunBenchmark:
 
     def test_serial_and_pooled_agree(self):
         # every cell the pool runs matches the same cell run by hand
-        data = two_blob_data(n=60, seed=5)
+        cases = [(two_blob_data(n=60, seed=5), "gld", False),
+                 (three_class_data(seed=1), "gld-lns", False),
+                 (three_class_data(seed=2), "gld", True)]
         plan = CvPlan(folds=3, trials=2)
-        trainer = make_trainer("gld")
-        pooled = run_benchmark(data, [("gld", trainer)], plan).methods[0]
-        serial = []
-        for trial, splits in enumerate(kfold_split(data, plan)):
-            for fold, (train_idx, test_idx) in enumerate(splits):
+        for data, method, standardize in cases:
+            trainer = make_trainer(method)
+            pooled = run_benchmark(data, [(method, trainer)], plan,
+                                   standardize).methods[0]
+            serial = []
+            for trial, splits in enumerate(kfold_split(data, plan)):
+                for fold, (train_idx, test_idx) in enumerate(splits):
+                    train = data.subset(train_idx)
+                    test_features = data.features[test_idx]
+                    if standardize:
+                        features, test_features = standardized(
+                            train.features, test_features)
+                        train = LabeledDataset(features, train.labels,
+                                               train.class_names)
+                    model = train_ovo(train, trainer)
+                    predicted = predict_ovo_batch(model, test_features)
+                    serial.append((trial, fold, model.mean_p_e,
+                                   accuracy_score(predicted,
+                                                  data.labels[test_idx])))
+            assert [(r.trial, r.fold, r.bayes_error, r.accuracy)
+                    for r in pooled.per_fold] == serial
+            assert pooled.mean_bayes_error == np.mean([c[2] for c in serial])
+            assert pooled.accuracy == np.mean([c[3] for c in serial])
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_each_class_moments_computed_once_per_fold(self, monkeypatch,
+                                                       standardize):
+        # a computed moment is a new array and a cached one the same
+        # array, so distinct means count the computations
+        means = []
+        original = hetlda.methods.compute_class_stats
+
+        def recording(data, class_a, class_b):
+            stats1, stats2, priors = original(data, class_a, class_b)
+            means.extend((stats1.mean, stats2.mean))
+            return stats1, stats2, priors
+
+        monkeypatch.setattr(hetlda.methods, "compute_class_stats", recording)
+        data = three_class_data(seed=3)
+        plan = CvPlan(folds=4, trials=2, seed=1)
+        methods = [(name, make_trainer(name)) for name in METHOD_NAMES]
+        report = run_benchmark(data, methods, plan, standardize)
+        assert sum(m.failures for m in report.methods) == 0
+        # every method trains 3 pairs in each of the 8 cells
+        assert len(means) == len(METHOD_NAMES) * 8 * 3 * 2
+        assert len({id(m) for m in means}) == 8 * 3
+
+    def test_overflowing_class_fails_only_its_folds(self):
+        # one class-2 row is 1e200: the folds that train on it overflow
+        # that class's moments, and only those
+        data = three_class_data(seed=4)
+        features = data.features.copy()
+        big = int(np.flatnonzero(data.labels == 2)[0])
+        features[big] *= 1e200
+        data = LabeledDataset(features, data.labels)
+        plan = CvPlan(folds=4, trials=2, seed=2)
+        names = ("lda", "gld", "gld-lns")
+        report = run_benchmark(data, [(m, make_trainer(m)) for m in names],
+                               plan)
+        splits = kfold_split(data, plan)
+        for row, name in zip(report.methods, names):
+            trainer = make_trainer(name)
+            assert row.failures == 2 * 3
+            for r in row.per_fold:
+                train_idx, test_idx = splits[r.trial][r.fold]
+                if big in train_idx:
+                    assert r.failure == ("DegenerateProjection: class 2 "
+                                         "moments overflow: the mean or "
+                                         "covariance is not finite")
+                    continue
                 model = train_ovo(data.subset(train_idx), trainer)
                 predicted = predict_ovo_batch(model, data.features[test_idx])
-                serial.append((trial, fold, model.mean_p_e,
-                               accuracy_score(predicted,
-                                              data.labels[test_idx])))
-        assert [(r.trial, r.fold, r.bayes_error, r.accuracy)
-                for r in pooled.per_fold] == serial
-        assert pooled.mean_bayes_error == np.mean([c[2] for c in serial])
-        assert pooled.accuracy == np.mean([c[3] for c in serial])
+                assert r.failure is None
+                assert r.bayes_error == model.mean_p_e
+                assert r.accuracy == accuracy_score(predicted,
+                                                    data.labels[test_idx])
+
+    def test_no_moment_cache_outlives_its_fold(self):
+        # when a cell trains, every dataset an earlier cell trained on
+        # is gone or holds the current fold's moments, and none is left
+        # once the run returns
+        seen = []
+        stale = []
+        lda = make_trainer("lda")
+
+        def watching(train, class_a, class_b):
+            stale.extend(d for d in (ref() for ref in seen)
+                         if d is not None and d._moments is not train._moments)
+            seen.append(weakref.ref(train))
+            return lda(train, class_a, class_b)
+
+        data = two_blob_data(n=60, seed=7)
+        run_benchmark(data, [("a", watching), ("b", watching)],
+                      CvPlan(folds=3, trials=2))
+        assert len(seen) == 12 and stale == []
+        assert all(ref() is None for ref in seen)
+        assert data._moments == {}
+
+    def test_standardizing_an_overflowing_spread_fails_its_cells(self):
+        # the spread of a 1e200-scaled feature overflows; it must not be
+        # divided away to zeros (pytest turns numpy's warning into an error)
+        data = two_blob_data(n=40, seed=8)
+        features = data.features.copy()
+        features[:, 1] *= 1e200
+        data = LabeledDataset(features, data.labels)
+        plan = CvPlan(folds=4, trials=1)
+        report = run_benchmark(
+            data, [("lda", make_trainer("lda")), ("gld", make_trainer("gld"))],
+            plan, standardize=True)
+        for row in report.methods:
+            assert row.failures == 4 and math.isnan(row.mean_bayes_error)
+            assert {r.failure for r in row.per_fold} == {
+                "DegenerateProjection: feature 2 cannot be standardized: "
+                "its mean or spread on the training fold is not finite"}
 
 
 class TestReportFormats:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,22 @@ class TestLabeledDataset:
         assert data.subset(np.array([0, 2])).class_names == ("0", "1")
         assert data.subset(np.array([1])).class_names == ("0", "1", "2")
 
+    def test_unnamed_sparse_label_rejected_before_naming_it(self):
+        # default names run up to the largest label, so an unnamed label
+        # at or past the row count is refused before any name is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="not below the row count"):
+                LabeledDataset(np.zeros((2, 1)), np.array([0, 10**6]))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        with pytest.raises(ValueError, match="label 2 is not below"):
+            LabeledDataset(np.zeros((2, 1)), [0, 2])
+        named = LabeledDataset(np.zeros((2, 1)), [0, 2], ["a", "b", "c"])
+        assert named.n_classes == 3
+
     def test_shapes_and_rows_checked(self):
         with pytest.raises(DimensionMismatch, match="n x d"):
             LabeledDataset([1.0, 2.0], [0, 1])
@@ -147,6 +164,18 @@ class TestComputeClassStats:
         data = LabeledDataset([[0.0], [1.0], [2.0]], [0, 0, 1])
         with pytest.raises(EmptyClass):
             compute_class_stats(data, 0, 1)
+
+    def test_moments_are_computed_once_per_dataset(self):
+        data = LabeledDataset([[0.0], [1.0], [4.0], [6.0], [1e200], [-1e200]],
+                              [0, 0, 1, 1, 2, 2])
+        s1, s2, _priors = compute_class_stats(data, 0, 1)
+        again1, again2, _priors = compute_class_stats(data, 1, 0)
+        assert again1.mean is s2.mean and again2.cov is s1.cov
+        # an error is not cached: every call that needs class 2 raises
+        for _ in range(2):
+            with pytest.raises(DegenerateProjection, match="class 2"):
+                compute_class_stats(data, 0, 2)
+        assert compute_class_stats(data, 1, 0)[0].mean is s2.mean
 
     def test_moments_that_overflow_are_an_error(self):
         # squares of 1e200 overflow; the run turns warnings into errors,

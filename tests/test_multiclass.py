@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hetlda import (DimensionMismatch, EmptyClass, LabeledDataset,
-                    LinearDiscriminant, OvoModel, classify, make_trainer,
+                    LinearDiscriminant, OvoModel, classify,
+                    compute_class_stats, make_trainer,
                     predict_ovo, predict_ovo_batch, train_ovo)
 
 
@@ -139,6 +140,46 @@ class TestTrainOvo:
         for *_pair, p_e in model.pairs:
             assert p_e < 0.01
 
+    def test_pairs_get_exactly_their_rows_and_share_class_moments(self):
+        # labels interleaved, so the pair rows are not contiguous
+        data = blobs([(0, 0), (6, 0), (0, 6), (6, 6)], 30, seed=4)
+        order = np.random.default_rng(5).permutation(data.n_samples)
+        data = data.subset(order)
+        seen = []
+        lda = make_trainer("lda")
+
+        def recording(pair, a, b):
+            seen.append((pair, a, b, compute_class_stats(pair, a, b)))
+            return lda(pair, a, b)
+
+        train_ovo(data, recording)
+        means = {}
+        for pair, a, b, (stats_a, stats_b, _priors) in seen:
+            scanned = data.subset(np.flatnonzero((data.labels == a)
+                                                 | (data.labels == b)))
+            assert pair.features.tobytes() == scanned.features.tobytes()
+            assert pair.labels.tobytes() == scanned.labels.tobytes()
+            assert pair.class_names == scanned.class_names
+            fresh = compute_class_stats(scanned, a, b)
+            for label, stats, exact in ((a, stats_a, fresh[0]),
+                                        (b, stats_b, fresh[1])):
+                assert stats.mean.tobytes() == exact.mean.tobytes()
+                assert stats.cov.tobytes() == exact.cov.tobytes()
+                # one computation per class, shared by its three pairs
+                assert means.setdefault(label, stats.mean) is stats.mean
+        assert len(seen) == 6 and len(means) == 4
+
+    def test_two_classes_train_on_the_dataset_itself(self):
+        data = blobs([(0.0, 0.0), (4.0, 4.0)], 20, seed=6)
+        seen = []
+
+        def recording(pair, a, b):
+            seen.append(pair)
+            return make_trainer("lda")(pair, a, b)
+
+        train_ovo(data, recording)
+        assert seen == [data] and seen[0] is data
+
     def test_single_class_rejected(self):
         data = LabeledDataset(np.zeros((4, 2)), np.zeros(4, dtype=int))
         with pytest.raises(EmptyClass):
@@ -147,7 +188,7 @@ class TestTrainOvo:
     def test_undersized_class_rejected(self):
         data = LabeledDataset(np.arange(10.0).reshape(5, 2),
                               np.array([0, 0, 1, 1, 2]))
-        with pytest.raises(EmptyClass):
+        with pytest.raises(EmptyClass, match="class 2 has 1 samples"):
             train_ovo(data, make_trainer("lda"))
 
 
