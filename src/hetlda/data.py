@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminant import (ClassStats, LabeledDataset, Priors, _fill_moments,
-                           _share_moments)
+from .discriminant import ClassStats, LabeledDataset, Priors, _fill_moments
 from .errors import (DegenerateProjection, HetldaError, InconsistentWidth,
                      InfeasibleStratification, ParseError)
 from .multiclass import BinaryTrainer, predict_ovo_batch, train_ovo
@@ -60,21 +59,12 @@ def _label_index(width: int, label_column: int) -> int:
     return col
 
 
-def _one_line_row(line: str) -> bool:
-    """Whether the csv module reads line as one row that ends on it, so
-    that no quote opened on line runs into the next."""
-    reader = csv.reader([line, ""])
-    next(reader)
-    return reader.line_num == 1
-
-
 def _read_plain(path: str, has_header: bool, label_column: int | None
                 ) -> tuple[np.ndarray, list[str]] | None:
     """What _read returns, for a plain numeric file, or None.
 
-    A file is plain when no line holds a NUL or is longer than the csv
-    field limit, no data line holds a quote, a header line holds only
-    quotes that close on it, every data line has the first one's width,
+    A file is plain when no line holds a quote or a NUL or is longer
+    than the csv field limit, every data line has the first one's width,
     and np.loadtxt parses every feature cell to a finite value: the csv
     module then splits each line at its commas, and loadtxt and float
     read the same cells to the same doubles. Any other file, and so
@@ -91,15 +81,11 @@ def _read_plain(path: str, has_header: bool, label_column: int | None
             for number, line in enumerate(handle, 1):
                 if line in ("\n", "\r\n", "\r"):  # rows csv reads as []
                     continue
-                if "\0" in line or len(line) > limit:
+                if '"' in line or "\0" in line or len(line) > limit:
                     return None
                 if has_header and not skip:
-                    if '"' in line and not _one_line_row(line):
-                        return None
                     skip = number
                     continue
-                if '"' in line:
-                    return None
                 cells = line.split(",")
                 if width is None:
                     width = len(cells)
@@ -429,8 +415,8 @@ def _run_fold(data: LabeledDataset, trainers: list[BinaryTrainer],
               train_idx: np.ndarray, test_idx: np.ndarray, trial: int,
               fold: int, standardize: bool) -> list[FoldRecord]:
     """One cell per trainer, in order, on one fold. The cells share the
-    fold's class moments and, with standardize, its fitted scaling; both
-    are dropped when the fold ends."""
+    fold's training set, with its class moments and, with standardize,
+    its fitted scaling; all are dropped when the fold ends."""
     test_features = data.features[test_idx]
     transform = None
     if standardize:
@@ -439,20 +425,22 @@ def _run_fold(data: LabeledDataset, trainers: list[BinaryTrainer],
         except DegenerateProjection as exc:
             return [_failed(trial, fold, exc)] * len(trainers)
         test_features = transform(test_features)
-    moments = {}
+    first = None  # the first cell's training set, its moments filled
     records = []
     for trainer in trainers:
         # Every cell takes its own training subset: perfbench's tracer
-        # opens the cell's span at that call. Its rows equal every other
-        # cell's of the fold, so the fold's moments are its moments;
-        # those not yet computed are filled before the clock starts.
-        train = data.subset(train_idx)
+        # opens the cell's span at that call. A cell after the first
+        # takes every row of the first cell's set, in order, and so
+        # keeps the moments filled there before any clock started.
+        train = (data.subset(train_idx) if first is None
+                 else first.subset(np.arange(first.n_samples)))
         try:
-            if transform is not None:
-                train = LabeledDataset(transform(train.features),
-                                       train.labels, train.class_names)
-            _share_moments(train, moments)
-            _fill_moments(train)
+            if first is None:
+                if transform is not None:
+                    train = LabeledDataset(transform(train.features),
+                                           train.labels, train.class_names)
+                _fill_moments(train)
+                first = train
             start = time.perf_counter()
             model = train_ovo(train, trainer)
             elapsed = time.perf_counter() - start

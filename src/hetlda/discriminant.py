@@ -31,10 +31,12 @@ _MIN_PROJECTED_VARIANCE = 1e-300
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    """a as a read-only C-contiguous array. A writeable a is copied, so
-    the caller's array stays writeable and its later writes cannot reach
-    the object that keeps the result."""
-    if a.flags.writeable or not a.flags.c_contiguous:
+    """a as a read-only C-contiguous array that nothing else can write.
+    A writeable a is copied, so the caller's array stays writeable and
+    its later writes cannot reach the object that keeps the result; so
+    is a view, whose base (a writeable array, a memory-mapped file) may
+    still change under it."""
+    if a.flags.writeable or a.base is not None or not a.flags.c_contiguous:
         a = np.array(a, order="C")
     a.setflags(write=False)
     return a
@@ -124,7 +126,8 @@ class LabeledDataset:
     def subset(self, indices) -> "LabeledDataset":
         """Row subset; labels keep their values, and class names are
         trimmed to the labels that remain representable (entries above
-        the new max label drop off)."""
+        the new max label drop off). A class whose rows the subset keeps
+        all of, in their order, keeps the moments cached for it here."""
         idx = np.asarray(indices)
         features, labels = self.features[idx], self.labels[idx]
         # Indexing with an array copies, and nothing else holds these
@@ -133,7 +136,16 @@ class LabeledDataset:
         labels.setflags(write=False)
         # initial=-1: an empty subset still fails the "no rows" check
         top = int(labels.max(initial=-1))
-        return LabeledDataset(features, labels, self.class_names[:top + 1])
+        sub = LabeledDataset(features, labels, self.class_names[:top + 1])
+        if (self._moments and idx.dtype.kind in "iu" and idx[0] >= 0
+                and np.all(idx[1:] > idx[:-1])):
+            # rows in ascending order, none twice: a class with as many
+            # rows here as in self has them all, in the same order
+            counts = np.bincount(labels, minlength=top + 1)
+            sub._moments.update(
+                (label, entry) for label, entry in self._moments.items()
+                if label <= top and counts[label] == entry[2])
+        return sub
 
 
 @dataclass(frozen=True)
@@ -252,13 +264,6 @@ def _fill_moments(data: LabeledDataset) -> None:
             _class_moments(data, label)
         except (EmptyClass, DegenerateProjection):
             pass
-
-
-def _share_moments(data: LabeledDataset, moments: dict) -> None:
-    """Make moments data's cache, read and filled in place. Whoever else
-    holds moments must see each class's rows exactly as data holds them,
-    in the same order, since the moments depend on that order."""
-    object.__setattr__(data, "_moments", moments)
 
 
 def project_stats(disc: LinearDiscriminant, stats1: ClassStats,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .discriminant import (LabeledDataset, LinearDiscriminant, _as_batch,
                            _class_names, _fill_moments, _one_sample,
-                           _share_moments, decision_values)
+                           decision_values)
 from .errors import EmptyClass
 
 __all__ = ["BinaryTrainer", "OvoModel", "train_ovo", "predict_ovo",
@@ -96,19 +96,14 @@ def train_ovo(data: LabeledDataset, trainer: BinaryTrainer) -> OvoModel:
     if k == 2:
         disc, p_e = trainer(data, 0, 1)
         return OvoModel(((0, 1, disc, float(p_e)),), k, data.class_names)
+    # each pair subset keeps both classes' rows in order, and so the
+    # moments cached here
     _fill_moments(data)
-    # each class's row indices in ascending order
-    members = np.split(np.argsort(data.labels, kind="stable"),
-                       np.cumsum(counts)[:-1])
     pairs = []
     for a in range(k):
         for b in range(a + 1, k):
-            subset = data.subset(np.sort(
-                np.concatenate((members[a], members[b])), kind="stable"))
-            # the subset holds both classes' rows in data's order, so
-            # data's moments are exactly its own
-            _share_moments(subset, {c: data._moments[c] for c in (a, b)
-                                    if c in data._moments})
+            subset = data.subset(np.flatnonzero(
+                (data.labels == a) | (data.labels == b)))
             disc, p_e = trainer(subset, a, b)
             pairs.append((a, b, disc, float(p_e)))
     return OvoModel(tuple(pairs), k, data.class_names)

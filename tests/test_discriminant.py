@@ -127,6 +127,34 @@ def test_objects_keep_read_only_copies_of_writeable_arrays():
         assert not stored.flags.writeable
 
 
+def test_dataset_rows_cannot_change_under_cached_moments(tmp_path):
+    # a read-only view of a writeable base, and a read-only memory map
+    # of a file rewritten later: the dataset copies both, so the moments
+    # it caches keep matching its rows
+    base = np.array([[0.0, 1.0], [2.0, 5.0], [4.0, 4.0], [6.0, 9.0]])
+    labels = np.array([0, 0, 1, 1])
+    path = tmp_path / "rows.npy"
+    np.save(path, base)
+    views = [base[:], np.load(path, mmap_mode="r")]
+    views[0].setflags(write=False)
+    for view in views:
+        data = LabeledDataset(view, labels)
+        before = compute_class_stats(data, 0, 1)
+        np.save(path, base * 3.0)
+        base[0, 0] = 100.0
+        after = compute_class_stats(data, 0, 1)
+        fresh = compute_class_stats(LabeledDataset(data.features.copy(),
+                                                   labels), 0, 1)
+        for stats in (before, after):
+            for got, want in zip(stats[:2], fresh[:2]):
+                assert got.mean.tobytes() == want.mean.tobytes()
+                assert got.cov.tobytes() == want.cov.tobytes()
+        assert data.features[0, 0] == 0.0
+        base[0, 0] = 0.0
+        np.save(path, base)
+    del views
+
+
 class TestComputeClassStats:
     def test_generated_priors(self):
         data = generate_d1(0)
@@ -176,6 +204,29 @@ class TestComputeClassStats:
             with pytest.raises(DegenerateProjection, match="class 2"):
                 compute_class_stats(data, 0, 2)
         assert compute_class_stats(data, 1, 0)[0].mean is s2.mean
+
+    def test_subset_keeps_moments_of_classes_kept_whole_in_order(self):
+        data = LabeledDataset(
+            [[0.0], [1.0], [4.0], [6.0], [2.0], [9.0], [3.0], [5.0]],
+            [0, 1, 0, 1, 2, 2, 0, 2])
+        cached = {label: compute_class_stats(data, label, 2)[0].mean
+                  for label in (0, 1)}
+
+        def kept(indices):
+            sub = data.subset(indices)
+            return {label for label, mean in cached.items()
+                    if label in sub.labels
+                    and compute_class_stats(sub, label, 2)[0].mean is mean}
+
+        assert kept(range(8)) == {0, 1}
+        assert kept([0, 2, 4, 5, 6, 7]) == {0}       # class 1 left out
+        assert kept(np.array([1, 3, 4, 5])) == {1}
+        assert kept([0, 1, 2, 3, 5, 6, 7]) == {0, 1}
+        assert kept([0, 1, 3, 4, 5, 6, 7]) == {1}     # class 0 in part
+        assert kept([2, 0, 6, 1, 3, 4, 5, 7]) == set()  # rows reordered
+        assert kept([0, 0, 1, 2, 3, 4, 5, 6, 7]) == set()  # a row twice
+        assert kept(range(-8, 0)) == set()
+        assert kept(np.ones(8, dtype=bool)) == set()
 
     def test_moments_that_overflow_are_an_error(self):
         # squares of 1e200 overflow; the run turns warnings into errors,
