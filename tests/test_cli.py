@@ -137,6 +137,24 @@ class TestTrain:
                              "--lns-early-stop", "10")
             assert code == 0, method
 
+    def test_lns_early_stop_defaults_to_at_most_the_sweep_budget(
+            self, tmp_path, capsys):
+        data = small_csv(tmp_path)
+        out = str(tmp_path / "m.json")
+        for argv, used in ((["--lns-iters", "50"], 50),
+                           (["--lns-iters", "500"], LnsConfig.early_stop),
+                           (["--lns-iters", "50", "--lns-early-stop", "7"],
+                            7)):
+            code, _, _ = run(capsys, "train", "gld-lns", data,
+                             "--label-col", "-1", "--out", out, *argv)
+            assert code == 0, argv
+            _model, _method, metadata = load_model(out)
+            assert metadata["config"]["lns_early_stop"] == used, argv
+        code, _, stderr = run(capsys, "train", "gld-lns", data,
+                              "--label-col", "-1", "--out", out,
+                              "--lns-iters", "50", "--lns-early-stop", "51")
+        assert code == 2 and "early_stop must be in" in stderr
+
     def test_missing_required_flag_is_usage_error(self, tmp_path, capsys):
         data = small_csv(tmp_path)
         with pytest.raises(SystemExit) as info:
@@ -443,6 +461,28 @@ class TestBenchmark:
         assert set(given) == {GldConfig, SweepConfig, LnsConfig, CvPlan}
         for kind, names in given.items():
             assert names == {f.name for f in dataclasses.fields(kind)}, kind
+
+    def test_lns_early_stop_defaults_to_at_most_the_sweep_budget(
+            self, tmp_path, monkeypatch, capsys):
+        configs = []
+        build = cli._config
+
+        def recording(kind, **fields):
+            configs.append(build(kind, **fields))
+            return configs[-1]
+
+        monkeypatch.setattr(cli, "_config", recording)
+        data = small_csv(tmp_path, n_per_class=10)
+        code, stdout, _ = run(capsys, "benchmark", data, "--methods",
+                              "gld-lns", "--folds", "2", "--trials", "1",
+                              "--lns-iters", "50")
+        assert code == 0 and "gld-lns" in stdout
+        lns = [c for c in configs if isinstance(c, LnsConfig)]
+        assert lns == [LnsConfig(max_iters=50, early_stop=50)]
+        code, _, stderr = run(capsys, "benchmark", data, "--methods",
+                              "gld-lns", "--folds", "2", "--trials", "1",
+                              "--lns-iters", "50", "--lns-early-stop", "51")
+        assert code == 2 and "early_stop must be in" in stderr
 
     def test_unknown_method_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

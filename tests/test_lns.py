@@ -5,7 +5,8 @@ import pytest
 
 import hetlda.lns
 from hetlda import (DimensionMismatch, LabeledDataset, LinearDiscriminant,
-                    LnsConfig, local_neighbourhood_search,
+                    LnsConfig, compute_class_stats,
+                    local_neighbourhood_search, train_gld,
                     training_error_count)
 
 
@@ -64,6 +65,29 @@ def reference_search(init, train, cfg, class_a, class_b, on_sweep):
         if stall >= cfg.early_stop:
             break
     return LinearDiscriminant(best[1:], float(best[0])), best_count
+
+
+def reference_count_errors(features, is_a, candidates):
+    # The sweep kernel before packed words: one product per block, a
+    # broadcast >= against each candidate's threshold, != and
+    # count_nonzero. The counter must give its counts exactly.
+    weights, thresholds = candidates[1:].T, candidates[0][:, None]
+    counts = np.zeros(candidates.shape[1], dtype=np.int64)
+    for start in range(0, features.shape[0], hetlda.lns._BLOCK_ROWS):
+        stop = start + hetlda.lns._BLOCK_ROWS
+        side_a = weights @ features[start:stop].T >= thresholds
+        counts += np.count_nonzero(side_a != is_a[start:stop], axis=1)
+    return counts
+
+
+def reference_counts(data, class_a, class_b, candidates):
+    # The search's counts as the reference kernel gives them: rows of a
+    # third class dropped once and counted as mistakes on both sides.
+    in_pair = (data.labels == class_a) | (data.labels == class_b)
+    return (reference_count_errors(data.features[in_pair],
+                                   data.labels[in_pair] == class_a,
+                                   candidates)
+            + np.count_nonzero(~in_pair))
 
 
 def tie_heavy_problems(seed, count):
@@ -227,6 +251,24 @@ class TestSweepKernel:
             data, init = random_problem(rng, n=300, d=6)
             self.assert_matches_loop([(init, data, LnsConfig(), 0, 1)])
 
+    def test_matches_loop_on_gamma_pairs_from_gld(self):
+        # Shaped like the cv-lns benchmark: three gamma classes, d = 6,
+        # each pair's rows as train_ovo hands them over, the search
+        # started from train_gld's rule with the default budget.
+        shapes = np.array([[1.5, 3.0, 2.0, 3.5, 2.0, 3.0],
+                           [3.0, 1.5, 3.5, 2.0, 3.0, 2.0],
+                           [2.2, 2.2, 1.5, 1.5, 3.5, 3.5]])
+        rng = np.random.default_rng(59)
+        features = np.vstack([rng.gamma(shape, 1.0, (300, shape.size))
+                              for shape in shapes])
+        data = LabeledDataset(features, np.repeat(np.arange(3), 300))
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            pair = data.subset(np.flatnonzero((data.labels == a)
+                                              | (data.labels == b)))
+            init, _p_e, _trace = train_gld(
+                *compute_class_stats(pair, a, b))
+            self.assert_matches_loop([(init, pair, LnsConfig(), a, b)])
+
     def test_peak_memory_is_a_small_fraction_of_the_features(self):
         # The sweep's n x 2(d+1) temporaries are cut into row blocks; one
         # product over all 2e5 rows would take 2.8 times the feature bytes.
@@ -262,3 +304,54 @@ class TestSweepKernel:
         explicit, inferred = peaks
         assert inferred <= 0.25 * data.features.nbytes
         assert inferred <= explicit + 0.02 * data.features.nbytes
+
+
+class TestErrorCounter:
+    def assert_matches_reference(self, problems):
+        # Each problem's first rows, n - 7 … n of them, so that the pair's
+        # row counts take every residue mod 8; one counter per dataset
+        # scores the start column and three sweeps along the reference's
+        # picks, so that its reused buffer carries bits between calls.
+        seen = {"residues": set(), "short_tail": False, "other": False}
+        for init, data, cfg, class_a, class_b in problems:
+            for drop in range(min(8, data.n_samples - 1)):
+                part = data.subset(np.arange(data.n_samples - drop))
+                in_pair = np.count_nonzero((part.labels == class_a)
+                                           | (part.labels == class_b))
+                seen["residues"].add(in_pair % 8)
+                block = hetlda.lns._BLOCK_ROWS
+                seen["short_tail"] |= in_pair > block and in_pair % block > 0
+                seen["other"] |= in_pair < part.n_samples
+                count = hetlda.lns._error_counter(part, class_a, class_b,
+                                                  init.w.shape[0] + 1)
+                current = np.concatenate(([init.w0], init.w))
+                assert np.array_equal(
+                    count(current[:, None]),
+                    reference_counts(part, class_a, class_b,
+                                     current[:, None]))
+                for _ in range(3):
+                    candidates = hetlda.lns._sweep_candidates(
+                        current, cfg.perturb_fraction)
+                    want = reference_counts(part, class_a, class_b,
+                                            candidates)
+                    assert np.array_equal(count(candidates), want)
+                    current = candidates[:, int(np.argmin(want))]
+        return seen
+
+    def test_matches_reference_kernel_on_tie_heavy_problems(self):
+        seen = self.assert_matches_reference(tie_heavy_problems(41, 240))
+        assert seen["residues"] == set(range(8)) and seen["other"]
+
+    def test_matches_reference_kernel_across_row_blocks(self, monkeypatch):
+        for rows in (3, 5, 8, 64):
+            monkeypatch.setattr(hetlda.lns, "_BLOCK_ROWS", rows)
+            seen = self.assert_matches_reference(tie_heavy_problems(43, 30))
+            assert seen["residues"] == set(range(8)), rows
+            assert seen["short_tail"] and seen["other"], rows
+
+    def test_pair_without_rows_counts_only_the_other_class(self):
+        data = LabeledDataset(np.array([[1.0], [2.0], [3.0]]),
+                              np.array([2, 2, 2]))
+        count = hetlda.lns._error_counter(data, 0, 1, 2)
+        candidates = hetlda.lns._sweep_candidates(np.array([0.5, 1.0]), 0.1)
+        assert count(candidates).tolist() == [3] * 4
