@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discriminant import (_MIN_PROJECTED_VARIANCE, ClassStats,
-                           LinearDiscriminant, Priors, bayes_error,
-                           project_stats)
+                           LinearDiscriminant, Priors, _integer,
+                           bayes_error, project_stats)
 from .errors import DegenerateProjection, ZeroDirection
 from .numkit import solve_symmetric
 
@@ -48,12 +48,12 @@ class SweepConfig:
     def __post_init__(self):
         if not 0.0 < self.step <= 1.0:
             raise ValueError("step must be in (0, 1]")
-        if self.trials < 1:
+        if _integer("trials", self.trials) < 1:
             raise ValueError("trials must be at least 1")
         a, b = self.s_range
         if not (math.isfinite(a) and math.isfinite(b) and a <= b):
             raise ValueError("s_range must be a finite pair with a <= b")
-        if self.seed < 0:
+        if _integer("seed", self.seed) < 0:
             raise ValueError("seed must be non-negative")
 
 

@@ -127,6 +127,10 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model, _method, _metadata = load_model(args.model)
+    names = model.class_names
+    for name in names:  # written one per line below
+        if name.splitlines() not in ([], [name]):
+            raise ValueError(f"class name {name!r} holds a line break")
     data = None
     if args.label_col is not None:
         data = load_csv(args.data, has_header=args.header,
@@ -135,7 +139,6 @@ def cmd_predict(args) -> int:
     else:
         features = load_matrix_csv(args.data, has_header=args.header)
     predicted = predict_ovo_batch(model, features)
-    names = model.class_names
     with open(args.out, "w") as handle:
         for start in range(0, predicted.shape[0], _WRITE_BLOCK_ROWS):
             block = predicted[start:start + _WRITE_BLOCK_ROWS].tolist()

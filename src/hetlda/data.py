@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminant import ClassStats, LabeledDataset, Priors, _fill_moments
+from .discriminant import (ClassStats, LabeledDataset, Priors,
+                           _fill_moments, _integer)
 from .errors import (DegenerateProjection, HetldaError, InconsistentWidth,
                      InfeasibleStratification, ParseError)
 from .multiclass import BinaryTrainer, predict_ovo_batch, train_ovo
@@ -274,11 +275,11 @@ class CvPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.folds < 2:
+        if _integer("folds", self.folds) < 2:
             raise ValueError("folds must be at least 2")
-        if self.trials < 1:
+        if _integer("trials", self.trials) < 1:
             raise ValueError("trials must be at least 1")
-        if self.seed < 0:
+        if _integer("seed", self.seed) < 0:
             raise ValueError("seed must be non-negative")
 
 
@@ -414,38 +415,33 @@ def _failed(trial: int, fold: int, exc: Exception) -> FoldRecord:
 def _run_fold(data: LabeledDataset, trainers: list[BinaryTrainer],
               train_idx: np.ndarray, test_idx: np.ndarray, trial: int,
               fold: int, standardize: bool) -> list[FoldRecord]:
-    """One cell per trainer, in order, on one fold. The cells share the
-    fold's training set, with its class moments and, with standardize,
-    its fitted scaling; all are dropped when the fold ends."""
+    """One cell per trainer, in order, on one fold. The fold's training
+    set, its class moments and, with standardize, its scaling are built
+    once, before any clock starts; where that fails, every cell fails."""
     test_features = data.features[test_idx]
-    transform = None
-    if standardize:
-        try:
+    test_labels = data.labels[test_idx]
+    try:
+        if standardize:  # fitted before the subset, which opens a span
             transform = _standardizer(data.features[train_idx])
-        except DegenerateProjection as exc:
-            return [_failed(trial, fold, exc)] * len(trainers)
-        test_features = transform(test_features)
-    first = None  # the first cell's training set, its moments filled
+            test_features = transform(test_features)
+        train = data.subset(train_idx)
+        if standardize:
+            train = LabeledDataset(transform(train.features), train.labels,
+                                   train.class_names)
+        _fill_moments(train)
+    except (HetldaError, ArithmeticError, ValueError,
+            np.linalg.LinAlgError) as exc:
+        return [_failed(trial, fold, exc)] * len(trainers)
     records = []
     for trainer in trainers:
-        # Every cell takes its own training subset: perfbench's tracer
-        # opens the cell's span at that call. A cell after the first
-        # takes every row of the first cell's set, in order, and so
-        # keeps the moments filled there before any clock started.
-        train = (data.subset(train_idx) if first is None
-                 else first.subset(np.arange(first.n_samples)))
+        # all rows in order keep the moments; perfbench opens a cell span here
+        cell = train.subset(np.arange(train.n_samples)) if records else train
         try:
-            if first is None:
-                if transform is not None:
-                    train = LabeledDataset(transform(train.features),
-                                           train.labels, train.class_names)
-                _fill_moments(train)
-                first = train
             start = time.perf_counter()
-            model = train_ovo(train, trainer)
+            model = train_ovo(cell, trainer)
             elapsed = time.perf_counter() - start
             predicted = predict_ovo_batch(model, test_features)
-            acc = accuracy_score(predicted, data.labels[test_idx])
+            acc = accuracy_score(predicted, test_labels)
             records.append(FoldRecord(trial, fold, model.mean_p_e, acc,
                                       elapsed))
         except (HetldaError, ArithmeticError, ValueError,
@@ -490,8 +486,7 @@ def run_benchmark(data: LabeledDataset,
             lambda job: _run_fold(data, trainers, *job, standardize), jobs))
 
     rows = []
-    for m, (name, _trainer) in enumerate(methods):
-        cells = [fold[m] for fold in folds]
+    for (name, _trainer), cells in zip(methods, zip(*folds)):
         ok = [c for c in cells if c.failure is None]
         if ok:
             bayes = np.array([c.bayes_error for c in ok])
@@ -499,9 +494,9 @@ def run_benchmark(data: LabeledDataset,
             times = np.array([c.train_time for c in ok])
             row = EvalMetrics(name, float(bayes.mean()), float(bayes.std()),
                               float(acc.mean()), float(acc.std()),
-                              float(times.mean()), tuple(cells),
+                              float(times.mean()), cells,
                               len(cells) - len(ok))
         else:
-            row = EvalMetrics(name, *[math.nan] * 5, tuple(cells), len(cells))
+            row = EvalMetrics(name, *[math.nan] * 5, cells, len(cells))
         rows.append(row)
     return BenchmarkReport(tuple(rows), plan)

@@ -42,6 +42,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integer(name: str, value) -> int:
+    # True and 2.0 equal integers but cannot size, index or count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return value
+
+
 def _class_names(names, k: int, mismatch: type) -> tuple[str, ...]:
     # ("0", ..., "k-1") for None, else a list or tuple of k str (a str
     # would split into its characters); another count raises mismatch

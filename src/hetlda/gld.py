@@ -20,8 +20,8 @@ import numpy as np
 
 from .baselines import _pooled_direction
 from .discriminant import (ClassStats, LinearDiscriminant, Priors,
-                           ProjectedStats, _gradient, bayes_error,
-                           project_stats)
+                           ProjectedStats, _gradient, _integer,
+                           bayes_error, project_stats)
 from .errors import ComplexRoot, DegenerateProjection, SingularUpdate
 from .numkit import solve_symmetric
 
@@ -46,7 +46,7 @@ class GldConfig:
     grad_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        if _integer("max_iters", self.max_iters) < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")

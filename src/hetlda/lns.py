@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .discriminant import LabeledDataset, LinearDiscriminant, _class_pair
+from .discriminant import (LabeledDataset, LinearDiscriminant,
+                           _class_pair, _integer)
 from .errors import DimensionMismatch
 
 __all__ = ["LnsConfig", "local_neighbourhood_search"]
@@ -48,9 +49,9 @@ class LnsConfig:
     perturb_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        if _integer("max_iters", self.max_iters) < 1:
             raise ValueError("max_iters must be at least 1")
-        if not 1 <= self.early_stop <= self.max_iters:
+        if not 1 <= _integer("early_stop", self.early_stop) <= self.max_iters:
             raise ValueError("early_stop must be in [1, max_iters]")
         if not 0.0 < self.perturb_fraction < 1.0:
             raise ValueError("perturb_fraction must be in (0, 1)")

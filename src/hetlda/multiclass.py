@@ -13,8 +13,8 @@ from typing import Callable
 import numpy as np
 
 from .discriminant import (LabeledDataset, LinearDiscriminant, _as_batch,
-                           _class_names, _fill_moments, _one_sample,
-                           decision_values)
+                           _class_names, _fill_moments, _integer,
+                           _one_sample, decision_values)
 from .errors import EmptyClass
 
 __all__ = ["BinaryTrainer", "OvoModel", "train_ovo", "predict_ovo",
@@ -25,13 +25,6 @@ __all__ = ["BinaryTrainer", "OvoModel", "train_ovo", "predict_ovo",
 # and its error estimate in [0, 1].
 BinaryTrainer = Callable[[LabeledDataset, int, int],
                          tuple[LinearDiscriminant, float]]
-
-
-def _integer(name: str, value) -> int:
-    # True and 2.0 equal integers but cannot size or index the vote table
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} {value!r} is not an integer")
-    return value
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,16 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="seed"):
             SweepConfig(seed=-1)
 
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} .* not an integer"):
+            SweepConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    def test_numpy_integer_counts_accepted(self, field):
+        assert getattr(SweepConfig(**{field: np.int64(3)}), field) == 3
+
 
 class TestTrainLda:
     def test_symmetric_homoscedastic(self):

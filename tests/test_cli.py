@@ -383,6 +383,49 @@ class TestPredict:
         assert out.read_text().split() == ["0"] * 20 + ["1"] * 20
         assert "accuracy: 0.5000" in stdout
 
+    def test_class_name_that_spans_lines_exits_one(self, tmp_path, capsys):
+        # predictions are written one name per line, so a quoted label
+        # holding a line break would shift every later prediction
+        rng = np.random.default_rng(3)
+        rows = [f"{x:.17g},{y:.17g},{label}"
+                for label, center in (("x", 0.0), ('"a\nb"', 6.0))
+                for x, y in rng.normal(center, 1.0, (3, 2))]
+        data = tmp_path / "quoted.csv"
+        data.write_text("\n".join(rows) + "\n")
+        model_path = str(tmp_path / "model.json")
+        code, _, _ = run(capsys, "train", "lda", str(data), "--label-col",
+                         "2", "--out", model_path)
+        assert code == 0
+        assert load_model(model_path)[0].class_names == ("x", "a\nb")
+        out = tmp_path / "pred.txt"
+        code, _, err = run(capsys, "predict", model_path, str(data),
+                           "--label-col", "2", "--out", str(out))
+        assert code == 1
+        assert "'a\\nb'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, written", [
+        ("a\r", False), ("a\n", False), ("a\x1c", False),
+        ("\u2028", False), ("", True), ("a b", True)])
+    def test_only_names_that_split_are_refused(self, tmp_path, capsys, name,
+                                               written):
+        rng = np.random.default_rng(4)
+        data = LabeledDataset(np.vstack([rng.normal(0, 1, (4, 2)),
+                                         rng.normal(6, 1, (4, 2))]),
+                              np.repeat([0, 1], 4), ("c", name))
+        model_path = str(tmp_path / "model.json")
+        save_model(model_path, train_ovo(data, make_trainer("lda")), "lda")
+        rows = tmp_path / "rows.csv"
+        rows.write_text("0,0\n6,6\n")
+        out = tmp_path / "pred.txt"
+        code, _, err = run(capsys, "predict", model_path, str(rows),
+                           "--out", str(out))
+        assert (code, out.exists()) == ((0, True) if written else (1, False))
+        if written:
+            assert out.read_text() == f"c\n{name}\n"
+        else:
+            assert repr(name) in err
+
 
 class TestPredictOutput:
     def test_matches_a_row_by_row_writer_past_one_block(self, tmp_path,

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import sys
 import threading
@@ -383,6 +384,16 @@ class TestCvPlan:
         with pytest.raises(ValueError):
             CvPlan(seed=-1)
 
+    @pytest.mark.parametrize("field", ["folds", "trials", "seed"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} .* not an integer"):
+            CvPlan(**{field: value})
+
+    @pytest.mark.parametrize("field", ["folds", "trials", "seed"])
+    def test_numpy_integer_counts_accepted(self, field):
+        assert getattr(CvPlan(**{field: np.int64(3)}), field) == 3
+
 
 class TestKfoldSplit:
     def test_partition_properties(self):
@@ -527,34 +538,40 @@ class TestRunBenchmark:
         assert a.mean_bayes_error == b.mean_bayes_error
 
     def test_serial_and_pooled_agree(self):
-        # every cell the pool runs matches the same cell run by hand
-        cases = [(two_blob_data(n=60, seed=5), "gld", False),
-                 (three_class_data(seed=1), "gld-lns", False),
-                 (three_class_data(seed=2), "gld", True)]
+        # every cell of every method matches the same cell run by hand on
+        # a training set built afresh, so a fold's later cells are checked
+        # as well as its first
+        cases = [(two_blob_data(n=60, seed=5), ["gld", "rhld1"]),
+                 (three_class_data(seed=1), ["gld-lns", "lda"]),
+                 (three_class_data(seed=2), ["lda", "gld"])]
         plan = CvPlan(folds=3, trials=2)
-        for data, method, standardize in cases:
-            trainer = make_trainer(method)
-            pooled = run_benchmark(data, [(method, trainer)], plan,
-                                   standardize).methods[0]
-            serial = []
-            for trial, splits in enumerate(kfold_split(data, plan)):
-                for fold, (train_idx, test_idx) in enumerate(splits):
-                    train = data.subset(train_idx)
-                    test_features = data.features[test_idx]
-                    if standardize:
-                        features, test_features = standardized(
-                            train.features, test_features)
-                        train = LabeledDataset(features, train.labels,
-                                               train.class_names)
-                    model = train_ovo(train, trainer)
-                    predicted = predict_ovo_batch(model, test_features)
-                    serial.append((trial, fold, model.mean_p_e,
-                                   accuracy_score(predicted,
-                                                  data.labels[test_idx])))
-            assert [(r.trial, r.fold, r.bayes_error, r.accuracy)
-                    for r in pooled.per_fold] == serial
-            assert pooled.mean_bayes_error == np.mean([c[2] for c in serial])
-            assert pooled.accuracy == np.mean([c[3] for c in serial])
+        for (data, names), standardize in itertools.product(cases,
+                                                            [False, True]):
+            methods = [(name, make_trainer(name)) for name in names]
+            report = run_benchmark(data, methods, plan, standardize)
+            for (name, trainer), pooled in zip(methods, report.methods,
+                                               strict=True):
+                serial = []
+                for trial, splits in enumerate(kfold_split(data, plan)):
+                    for fold, (train_idx, test_idx) in enumerate(splits):
+                        train = data.subset(train_idx)
+                        test_features = data.features[test_idx]
+                        if standardize:
+                            features, test_features = standardized(
+                                train.features, test_features)
+                            train = LabeledDataset(features, train.labels,
+                                                   train.class_names)
+                        model = train_ovo(train, trainer)
+                        predicted = predict_ovo_batch(model, test_features)
+                        serial.append((trial, fold, model.mean_p_e,
+                                       accuracy_score(predicted,
+                                                      data.labels[test_idx])))
+                assert pooled.method == name and pooled.failures == 0
+                assert [(r.trial, r.fold, r.bayes_error, r.accuracy)
+                        for r in pooled.per_fold] == serial
+                assert pooled.mean_bayes_error == np.mean(
+                    [c[2] for c in serial])
+                assert pooled.accuracy == np.mean([c[3] for c in serial])
 
     @pytest.mark.parametrize("standardize", [False, True])
     def test_each_class_moments_computed_once_per_fold(self, monkeypatch,

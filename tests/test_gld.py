@@ -353,3 +353,11 @@ class TestGldConfig:
             GldConfig(max_iters=0)
         with pytest.raises(ValueError):
             GldConfig(grad_tol=-1.0)
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_max_iters_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="max_iters .* not an integer"):
+            GldConfig(max_iters=value)
+
+    def test_numpy_integer_max_iters_accepted(self):
+        assert GldConfig(max_iters=np.int64(3)).max_iters == 3

@@ -131,6 +131,16 @@ class TestLnsConfig:
             with pytest.raises(ValueError):
                 LnsConfig(perturb_fraction=frac)
 
+    @pytest.mark.parametrize("field", ["max_iters", "early_stop"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} .* not an integer"):
+            LnsConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = LnsConfig(max_iters=np.int64(3), early_stop=np.int64(3))
+        assert (cfg.max_iters, cfg.early_stop) == (3, 3)
+
     def test_defaults(self):
         cfg = LnsConfig()
         assert cfg.max_iters == 1000 and cfg.early_stop == 100
