@@ -1,10 +1,11 @@
 """Reference linear discriminants: pooled-covariance LDA and the
 covariance-blend family searched by grid or random draws.
 
-All of them return (rule, model error, (s1, s2)): the direction solves
-(s1 C1 + s2 C2) w = mean1 - mean2, and the error is evaluated with the
-same machinery as the fixed-point trainer, so the numbers are directly
-comparable. The one-parameter searches use the variance-weighted
+All of them return (rule, model error, (s1, s2)): the direction is the
+minimum-norm solution of (s1 C1 + s2 C2) w = mean1 - mean2. lda's error
+is evaluated with the same machinery as the fixed-point trainer, the
+searches' by the blend engine in closed form, so the numbers are
+directly comparable. The one-parameter searches use the variance-weighted
 threshold (s1 mu2 var1 + s2 mu1 var2) / (s1 var1 + s2 var2).
 """
 from __future__ import annotations
@@ -64,13 +65,6 @@ def _mean_difference(stats1: ClassStats, stats2: ClassStats) -> np.ndarray:
     return diff
 
 
-def _evaluate(w: np.ndarray, w0: float, stats1: ClassStats,
-              stats2: ClassStats, priors: Priors
-              ) -> tuple[LinearDiscriminant, float]:
-    disc = LinearDiscriminant(w, w0)
-    return disc, bayes_error(project_stats(disc, stats1, stats2), priors)
-
-
 def _pooled_direction(pooled: np.ndarray, stats1: ClassStats,
                       stats2: ClassStats) -> np.ndarray:
     # solves pooled w = mean1 - mean2 for lda and gld's Fisher start
@@ -92,15 +86,16 @@ def train_lda(stats1: ClassStats, stats2: ClassStats, priors: Priors
     w = _pooled_direction(priors.pi1 * stats1.cov + priors.pi2 * stats2.cov,
                           stats1, stats2)
     w0 = math.log(priors.tau) + 0.5 * float((stats1.mean + stats2.mean) @ w)
-    return (*_evaluate(w, w0, stats1, stats2, priors),
+    disc = LinearDiscriminant(w, w0)
+    return (disc, bayes_error(project_stats(disc, stats1, stats2), priors),
             (priors.pi1, priors.pi2))
 
 
 def _blend_search(stats1: ClassStats, stats2: ClassStats, priors: Priors,
-                  s1: np.ndarray, s2: np.ndarray, thresholds
+                  s1: np.ndarray, s2: np.ndarray, threshold
                   ) -> tuple[LinearDiscriminant, float, tuple[float, float]]:
     """Best rule over the blends s1[i] C1 + s2[i] C2, ties to the first
-    candidate and threshold; returns (rule, error, (s1[i], s2[i])).
+    candidate; returns (rule, error, (s1[i], s2[i])).
 
     P = pi1 C1 + pi2 C2 = U diag(e) U' is whitened on the span of its
     eigenvalues above _SINGULAR_RTOL of the largest, W = U diag(e)^-1/2,
@@ -108,8 +103,8 @@ def _blend_search(stats1: ClassStats, stats2: ClassStats, priors: Priors,
     and T' C2 T = diag(mu). Every blend vanishes outside that span, so
     each candidate direction is T (T' diff / (s1 lam + s2 mu)): O(d) per
     candidate, with a blend eigenvalue within _SINGULAR_RTOL of that
-    blend's largest taken as zero. The winner is rebuilt with one
-    solve_symmetric and scored as a per-candidate loop would score it.
+    blend's largest taken as zero, as a minimum-norm solve drops it. The
+    winner is returned as scored, T x[i] with its threshold and error.
     """
     diff = _mean_difference(stats1, stats2)
     e, u = np.linalg.eigh(priors.pi1 * stats1.cov + priors.pi2 * stats2.cov)
@@ -125,29 +120,26 @@ def _blend_search(stats1: ClassStats, stats2: ClassStats, priors: Priors,
     mu1, mu2 = x @ (t.T @ stats1.mean), x @ (t.T @ stats2.mean)
     var1, var2 = (x * x) @ lam, (x * x) @ mu
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w0 = np.array(thresholds(s1, s2, mu1, mu2, var1, var2))
+        w0 = threshold(s1, s2, mu1, mu2, var1, var2)
         pe = (priors.pi1 * _q((mu1 - w0) / np.sqrt(var1))
               + priors.pi2 * _q((w0 - mu2) / np.sqrt(var2)))
     usable = (np.isfinite(w0 + var1 + var2)
               & (np.minimum(var1, var2) > _MIN_PROJECTED_VARIANCE))
     if not np.any(usable):
         raise DegenerateProjection("no blend candidate produced a usable rule")
-    i = int(np.argmin(np.where(usable, pe, np.inf).min(axis=0)))
-    w = solve_symmetric(s1[i] * stats1.cov + s2[i] * stats2.cov, diff)
-    pre = project_stats(LinearDiscriminant(w, 0.0), stats1, stats2)
-    scored = [_evaluate(w, cut, stats1, stats2, priors) for cut in
-              thresholds(s1[i], s2[i], pre.mu1, pre.mu2, pre.var1, pre.var2)]
-    return (*min(scored, key=lambda rule: rule[1]),
+    i = int(np.argmin(np.where(usable, pe, np.inf)))
+    return (LinearDiscriminant(t @ x[i], w0[i]), float(pe[i]),
             (float(s1[i]), float(s2[i])))
 
 
 def _weighted_threshold(s1, s2, mu1, mu2, var1, var2):
-    return ((s1 * mu2 * var1 + s2 * mu1 * var2) / (s1 * var1 + s2 * var2),)
+    return (s1 * mu2 * var1 + s2 * mu1 * var2) / (s1 * var1 + s2 * var2)
 
 
-def _three_thresholds(s1, s2, mu1, mu2, var1, var2):
-    c_one, c_two = mu1 - s1 * var1, mu2 + s2 * var2
-    return c_one, c_two, 0.5 * (c_one + c_two)
+def _midpoint_threshold(s1, s2, mu1, mu2, var1, var2):
+    # mu1 - s1 var1 = mu2 + s2 var2 on every engine direction; the
+    # midpoint of the two keeps the rounding symmetric
+    return 0.5 * ((mu1 - s1 * var1) + (mu2 + s2 * var2))
 
 
 def train_chld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
@@ -180,11 +172,11 @@ def train_rhld2(stats1: ClassStats, stats2: ClassStats, priors: Priors,
                 config: SweepConfig | None = None
                 ) -> tuple[LinearDiscriminant, float, tuple[float, float]]:
     """Random search of the blends (s1, s2) drawn uniformly from s_range^2,
-    keeping the best of three thresholds: mu1 - s1 var1, mu2 + s2 var2 and
-    their midpoint. (For an exact blend solve the first two coincide; they
-    differ only under the least-squares fallback.)"""
+    with the threshold mu1 - s1 var1 = mu2 + s2 var2. The two sides agree
+    on every direction the engine scores, the minimum-norm one of a
+    singular blend included, so one threshold serves."""
     cfg = config or SweepConfig()
     draws = np.random.default_rng(cfg.seed).uniform(*cfg.s_range,
                                                     (cfg.trials, 2))
     return _blend_search(stats1, stats2, priors, draws[:, 0], draws[:, 1],
-                         _three_thresholds)
+                         _midpoint_threshold)

@@ -9,6 +9,7 @@ noise.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import time
 import warnings
@@ -381,13 +382,15 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
+        out = io.StringIO()
+        out.write(CSV_HEADER + "\n")
+        writer = csv.writer(out, lineterminator="\n")
         for m in self.methods:
-            lines.append(",".join([m.method] + [
+            writer.writerow([m.method] + [
                 f"{v:.17g}" for v in (m.mean_bayes_error, m.bayes_error_std,
                                       m.accuracy, m.accuracy_std,
-                                      m.training_time)]))
-        return "\n".join(lines) + "\n"
+                                      m.training_time)])
+        return out.getvalue()
 
 
 def _standardizer(rows: np.ndarray):

@@ -102,12 +102,10 @@ class TestTrainChld:
             grids.append((list(s1), list(s2)))
             return search(stats1, stats2, priors, s1, s2, *rest)
 
-        # every candidate scores the same, in the screen and in the end
+        # every candidate scores the same
         monkeypatch.setattr(hetlda.baselines, "_blend_search", recording)
         monkeypatch.setattr(hetlda.baselines, "_q",
                             lambda z: np.full(np.shape(z), 0.3))
-        monkeypatch.setattr(hetlda.baselines, "bayes_error",
-                            lambda proj, priors: 0.3)
         s1, s2, priors = balanced([1.0], [[1.0]], [-1.0], [[4.0]])
         _, pe, info = train_chld(s1, s2, priors, SweepConfig(step=0.5))
         assert grids[0] == ([0.0, 0.5, 1.0], [1.0, 0.5, 0.0])
@@ -254,10 +252,14 @@ class TestCommonGuarantees:
             fits += [search(s1, s2, priors, cfg)
                      for search in TRAINERS.values()]
             assert fits[0][2] == (priors.pi1, priors.pi2)
-            for disc, _pe, (t1, t2) in fits:
+            for k, (disc, _pe, (t1, t2)) in enumerate(fits):
                 w = solve_symmetric(t1 * s1.cov + t2 * s2.cov,
                                     s1.mean - s2.mean)
-                assert np.array_equal(disc.w, w)
+                if k == 0:   # lda solves its blend itself
+                    assert np.array_equal(disc.w, w)
+                else:
+                    assert (np.linalg.norm(disc.w - w)
+                            <= 1e-12 * np.linalg.norm(w))
 
     def test_constant_feature_changes_no_rule(self):
         for data in (generate_d1(0), generate_d2(0)):
@@ -342,8 +344,23 @@ class TestBlendEngine:
             params = {"chld": info[:1], "rhld1": info[1:], "rhld2": info}
             assert list(params[method]) == list(ref[2:]), method
             assert abs(pe - ref[1]) <= 1e-12, method
-            # ref[0].w is solve_symmetric on the winning blend
-            assert np.array_equal(disc.w, ref[0].w) and disc.w0 == ref[0].w0
+            # ref[0].w is solve_symmetric on the winning blend; the
+            # engine's T x agrees with it to rounding, not bit for bit
+            w, w0 = ref[0].w, ref[0].w0
+            assert np.linalg.norm(disc.w - w) <= 1e-12 * np.linalg.norm(w)
+            assert abs(disc.w0 - w0) <= 1e-12 * max(1.0, abs(w0))
+            if method == "rhld2":
+                self.assert_threshold_identity(disc, info, stats1, stats2)
+
+    def assert_threshold_identity(self, disc, info, stats1, stats2):
+        # rhld2's one threshold rests on mu1 - s1 var1 = mu2 + s2 var2
+        pre = project_stats(LinearDiscriminant(disc.w, 0.0), stats1, stats2)
+        one = pre.mu1 - info[0] * pre.var1
+        two = pre.mu2 + info[1] * pre.var2
+        scale = max(abs(pre.mu1), abs(pre.mu2), abs(info[0] * pre.var1),
+                    abs(info[1] * pre.var2))
+        assert abs(disc.w0 - one) <= 1e-12 * scale
+        assert abs(disc.w0 - two) <= 1e-12 * scale
 
     def count_solves(self, monkeypatch):
         calls = []
@@ -372,14 +389,13 @@ class TestBlendEngine:
         for stats in (d1_population(), d2_population()):
             self.assert_matches_loop(*stats, SweepConfig())
 
-    def test_one_solve_per_search(self, monkeypatch):
+    def test_searches_make_no_dense_solve(self, monkeypatch):
         calls = self.count_solves(monkeypatch)
         for method, trainer in TRAINERS.items():
-            calls.clear()
             trainer(*d1_population())
-            assert len(calls) == 1, method
+            assert not calls, method
 
-    def test_singular_class2_covariance_solves_once(self, monkeypatch):
+    def test_singular_class2_covariance_needs_no_solve(self, monkeypatch):
         rng = np.random.default_rng(23)
         root = rng.standard_normal((3, 3))
         v = rng.standard_normal(3)
@@ -390,17 +406,18 @@ class TestBlendEngine:
         self.assert_matches_loop(s1, s2, priors, cfg)
         calls = self.count_solves(monkeypatch)
         train_rhld2(s1, s2, priors, cfg)
-        assert len(calls) == 1
+        assert not calls
 
     def test_pinned_draw_at_singular_blend_takes_least_squares(
             self, monkeypatch):
         # C1 v = 2 C2 v for v = e1, so s C2 + (1-s) C1 is singular at
-        # s = 2 / (2 - 1); the least-squares solve drops that direction.
+        # s = 2 / (2 - 1); the engine drops that direction, as the
+        # reference's least-squares solve does.
         s1, s2, priors = balanced([1.0, 1.0], np.diag([2.0, 1.0]),
                                   [0.0, 0.0], np.eye(2))
         cfg = SweepConfig(trials=1, s_range=(2.0, 2.0))
         calls = self.count_solves(monkeypatch)
         disc, _, info = train_rhld1(s1, s2, priors, cfg)
-        assert info[1] == 2.0 and len(calls) == 1
+        assert info[1] == 2.0 and not calls
         assert disc.w[0] == 0.0 and disc.w[1] != 0.0
         self.assert_matches_loop(s1, s2, priors, cfg, methods=["rhld1"])

@@ -679,6 +679,17 @@ class TestReportFormats:
         assert cells[0] == "lda" and len(cells) == 6
         assert float(cells[1]) == report.methods[0].mean_bayes_error
 
+    @pytest.mark.parametrize("name", ["lda, shrunk", '"lda" "2"', "lda\nv2",
+                                      "a,\"b\"\r\nc"])
+    def test_csv_method_name_reads_back_as_one_cell(self, name):
+        data = two_blob_data(n=40, seed=6)
+        report = run_benchmark(data, [(name, make_trainer("lda"))],
+                               CvPlan(folds=4, trials=1))
+        rows = list(csv.reader(report.to_csv().splitlines(keepends=True)))
+        assert len(rows) == 2 and len(rows[1]) == 6
+        assert rows[1][0] == name
+        assert float(rows[1][1]) == report.methods[0].mean_bayes_error
+
     def test_text_report_marks_failed_cells(self):
         data = two_blob_data(n=40, seed=6)
         plan = CvPlan(folds=4, trials=2)
