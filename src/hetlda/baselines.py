@@ -91,32 +91,40 @@ def train_lda(stats1: ClassStats, stats2: ClassStats, priors: Priors
             (priors.pi1, priors.pi2))
 
 
-def _blend_search(stats1: ClassStats, stats2: ClassStats, priors: Priors,
-                  s1: np.ndarray, s2: np.ndarray, threshold
-                  ) -> tuple[LinearDiscriminant, float, tuple[float, float]]:
-    """Best rule over the blends s1[i] C1 + s2[i] C2, ties to the first
-    candidate; returns (rule, error, (s1[i], s2[i])).
-
-    P = pi1 C1 + pi2 C2 = U diag(e) U' is whitened on the span of its
-    eigenvalues above _SINGULAR_RTOL of the largest, W = U diag(e)^-1/2,
-    and W' C1 W = V diag(lam) V' gives T = W V with T' C1 T = diag(lam)
-    and T' C2 T = diag(mu). Every blend vanishes outside that span, so
-    each candidate direction is T (T' diff / (s1 lam + s2 mu)): O(d) per
-    candidate, with a blend eigenvalue within _SINGULAR_RTOL of that
-    blend's largest taken as zero, as a minimum-norm solve drops it. The
-    winner is returned as scored, T x[i] with its threshold and error.
-    """
-    diff = _mean_difference(stats1, stats2)
+def _blend_basis(stats1: ClassStats, stats2: ClassStats, priors: Priors
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, lam, mu) with T' C1 T = diag(lam), T' C2 T = diag(mu) and
+    pi1 lam + pi2 mu = 1: T whitens P = pi1 C1 + pi2 C2 on the span of
+    its eigenvalues above _SINGULAR_RTOL of the largest, where every
+    blend lives, and diagonalizes C1 there."""
     e, u = np.linalg.eigh(priors.pi1 * stats1.cov + priors.pi2 * stats2.cov)
     span = e > max(_SINGULAR_RTOL * e.max(), 0.0)
     white = u[:, span] / np.sqrt(e[span])
     lam, v = np.linalg.eigh(white.T @ stats1.cov @ white)
     t = white @ v
-    mu = np.einsum("ij,ik,kj->j", t, stats2.cov, t)
-    eig = np.outer(s1, lam) + np.outer(s2, mu)  # blend eigenvalues in T
+    return t, lam, np.einsum("ij,ik,kj->j", t, stats2.cov, t)
+
+
+def _blend_directions(b, lam, mu, s1, s2):
+    """x with T x the minimum-norm solution of (s1 C1 + s2 C2) w = d, b =
+    T' d, for each blend; an eigenvalue within _SINGULAR_RTOL of the
+    blend's largest drops out, as in a minimum-norm solve."""
+    eig = np.multiply.outer(s1, lam) + np.multiply.outer(s2, mu)
     size = np.abs(eig)
-    nonzero = size > _SINGULAR_RTOL * size.max(1, keepdims=True, initial=0.0)
-    x = np.divide(t.T @ diff, eig, out=np.zeros_like(eig), where=nonzero)
+    nonzero = size > _SINGULAR_RTOL * size.max(-1, keepdims=True, initial=0.0)
+    return np.divide(b, eig, out=np.zeros(eig.shape), where=nonzero)
+
+
+def _blend_search(stats1: ClassStats, stats2: ClassStats, priors: Priors,
+                  s1: np.ndarray, s2: np.ndarray, threshold, basis=None
+                  ) -> tuple[LinearDiscriminant, float, tuple[float, float]]:
+    """Best rule over the blends s1[i] C1 + s2[i] C2, ties to the first
+    candidate; returns (rule, error, (s1[i], s2[i])). Each candidate costs
+    O(d) in the basis of _blend_basis (or the one given), and the winner
+    is returned as scored, T x[i] with its threshold and error."""
+    diff = _mean_difference(stats1, stats2)
+    t, lam, mu = basis or _blend_basis(stats1, stats2, priors)
+    x = _blend_directions(t.T @ diff, lam, mu, s1, s2)
     mu1, mu2 = x @ (t.T @ stats1.mean), x @ (t.T @ stats2.mean)
     var1, var2 = (x * x) @ lam, (x * x) @ mu
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -421,8 +421,8 @@ def _run_fold(data: LabeledDataset, trainers: list[BinaryTrainer],
     """One cell per trainer, in order, on one fold. The fold's training
     set, its class moments and, with standardize, its scaling are built
     once, before any clock starts; where that fails, every cell fails."""
-    test_features = data.features[test_idx]
-    test_labels = data.labels[test_idx]
+    test_features = np.take(data.features, test_idx, axis=0)
+    test_labels = np.take(data.labels, test_idx)
     try:
         if standardize:  # fitted before the subset, which opens a span
             transform = _standardizer(data.features[train_idx])

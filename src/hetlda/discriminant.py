@@ -136,9 +136,11 @@ class LabeledDataset:
         the new max label drop off). A class whose rows the subset keeps
         all of, in their order, keeps the moments cached for it here."""
         idx = np.asarray(indices)
-        features, labels = self.features[idx], self.labels[idx]
-        # Indexing with an array copies, and nothing else holds these
-        # copies, so the new dataset may keep them without another one.
+        # np.take gathers integer rows as indexing does, only faster; both
+        # copy, so the new dataset may keep them without another copy
+        rows = ((lambda a: np.take(a, idx, axis=0)) if idx.dtype.kind in "iu"
+                else (lambda a: a[idx]))
+        features, labels = rows(self.features), rows(self.labels)
         features.setflags(write=False)
         labels.setflags(write=False)
         # initial=-1: an empty subset still fails the "no rows" check
@@ -247,7 +249,7 @@ def _class_moments(data: LabeledDataset,
         raise EmptyClass(
             f"class {label} has {idx.size} sample(s); at least 2 required")
     # the dataset already holds finite float64 n x d rows
-    rows = data.features[idx]
+    rows = np.take(data.features, idx, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         m = rows.mean(axis=0)
         centered = rows - m
@@ -281,13 +283,17 @@ def project_stats(disc: LinearDiscriminant, stats1: ClassStats,
     mu2 = float(w @ stats2.mean)
     var1 = float(w @ stats1.cov @ w)
     var2 = float(w @ stats2.cov @ w)
+    _check_variances(var1, var2)
+    z1 = (w0 - mu1) / math.sqrt(var1)
+    z2 = (w0 - mu2) / math.sqrt(var2)
+    return ProjectedStats(mu1, mu2, var1, var2, z1, z2)
+
+
+def _check_variances(var1: float, var2: float) -> None:
     for k, v in ((1, var1), (2, var2)):
         if not (v > _MIN_PROJECTED_VARIANCE) or not math.isfinite(v):
             raise DegenerateProjection(
                 f"projected variance of class {k} is {v!r}")
-    z1 = (w0 - mu1) / math.sqrt(var1)
-    z2 = (w0 - mu2) / math.sqrt(var2)
-    return ProjectedStats(mu1, mu2, var1, var2, z1, z2)
 
 
 def bayes_error(proj: ProjectedStats, priors: Priors) -> float:
@@ -315,8 +321,9 @@ def _gradient(w: np.ndarray, proj: ProjectedStats, stats1: ClassStats,
     z1, z2 = proj.z1, proj.z2
     phi1 = math.exp(-0.5 * z1 * z1) / _SQRT_2PI
     phi2 = math.exp(-0.5 * z2 * z2) / _SQRT_2PI
-    grad_w = (-priors.pi1 * phi1 * (s1 * stats1.mean + z1 * (stats1.cov @ w)) / proj.var1
-              + priors.pi2 * phi2 * (s2 * stats2.mean + z2 * (stats2.cov @ w)) / proj.var2)
+    c1, c2 = priors.pi1 * phi1 / proj.var1, priors.pi2 * phi2 / proj.var2
+    grad_w = ((c2 * s2) * stats2.mean - (c1 * s1) * stats1.mean
+              + (c2 * z2) * (stats2.cov @ w) - (c1 * z1) * (stats1.cov @ w))
     grad_w0 = priors.pi1 * phi1 / s1 - priors.pi2 * phi2 / s2
     return grad_w, grad_w0
 

@@ -1,28 +1,28 @@
 """Minimum-error linear discriminant for heteroscedastic Gaussian models.
 
-The trainer alternates two exact steps: given a direction w, the optimal
-threshold w0 solves a quadratic stationarity condition in closed form;
-given (w, w0), the direction is refreshed by solving
-
-    [ (z2/sigma2) C2 - (z1/sigma1) C1 ] w = mean1 - mean2.
-
-Of the two threshold roots only the one carrying the positive square root
-satisfies the second-order condition z2/sigma2 >= z1/sigma1, so it is a
-local minimum of the model error; the loop records every iterate and
-returns the best one seen.
+Every stationary direction of the model error solves a blend
+[s1 C1 + s2 C2] w = mean1 - mean2 (Anderson & Bahadur 1962), at O(d) in
+the blend engine's basis. The trainer starts from the best of a scan of
+those blends and alternates two exact steps: given w, the threshold w0
+solves a quadratic stationarity condition in closed form, and of its two
+roots only the one with the positive square root satisfies the
+second-order condition z2/sigma2 >= z1/sigma1; given (w, w0), w is the
+blend (s1, s2) = (-z1/sigma1, z2/sigma2). The best iterate is returned.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import _pooled_direction
+from .baselines import (_blend_basis, _blend_directions, _blend_search,
+                        _mean_difference, _pooled_direction)
 from .discriminant import (ClassStats, LinearDiscriminant, Priors,
-                           ProjectedStats, _gradient, _integer,
-                           bayes_error, project_stats)
-from .errors import ComplexRoot, DegenerateProjection, SingularUpdate
+                           ProjectedStats, _check_variances, _gradient,
+                           _integer, bayes_error)
+from .errors import (ComplexRoot, DegenerateProjection, SingularUpdate,
+                     ZeroDirection)
 from .numkit import solve_symmetric
 
 __all__ = [
@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _SECOND_ORDER_TOL = 1e-12
+_SCAN_POINTS = 16  # interior points of the start scan, besides Fisher's
+_log = np.frompyfunc(math.log, 1, 1)
 # Relative gap below which two projected variances count as equal.
 _VARIANCE_EQUALITY_TOL = 1e-12
 
@@ -39,8 +41,10 @@ _VARIANCE_EQUALITY_TOL = 1e-12
 @dataclass(frozen=True)
 class GldConfig:
     """Stopping rules for train_gld: the loop ends when the gradient norm
-    of the model error falls to grad_tol, or after max_iters direction
-    updates."""
+    hypot(|w| ||dp_e/dw||, |dp_e/dw0|) of the unit-length rule falls to
+    grad_tol, or after max_iters direction updates. The first term does
+    not depend on the units of the data, and the exact threshold makes
+    the second zero up to rounding."""
 
     max_iters: int = 20
     grad_tol: float = 1e-6
@@ -54,7 +58,7 @@ class GldConfig:
 
 @dataclass(frozen=True)
 class GldIterate:
-    """One recorded step: the rule, its model error, its gradient norm."""
+    """One step: the unit-length rule, its model error, its gradient norm."""
 
     w: np.ndarray
     w0: float
@@ -94,13 +98,13 @@ def threshold_roots(mu1: float, mu2: float, var1: float, var2: float,
     if a == 0.0:
         raise ValueError("threshold_roots requires var1 != var2")
     log_ratio = math.log(tau) + 0.5 * (math.log(var1) - math.log(var2))
-    radicand = (mu1 - mu2) ** 2 + 2.0 * a * log_ratio
+    radicand = (mu1 - mu2) * (mu1 - mu2) + 2.0 * a * log_ratio
     if radicand < 0.0:
         raise ComplexRoot(
             f"no real stationary threshold (radicand {radicand:.3e})")
     G = math.sqrt(var1 * var2 * radicand)
     N = mu2 * var1 - mu1 * var2
-    c = var1 * mu2 ** 2 - var2 * mu1 ** 2 - 2.0 * var1 * var2 * log_ratio
+    c = var1 * (mu2 * mu2) - var2 * (mu1 * mu1) - 2.0 * var1 * var2 * log_ratio
     if N > 0.0:
         plus = (N + G) / a
         minus = c / (N + G)
@@ -132,6 +136,22 @@ def solve_threshold(mu1: float, mu2: float, var1: float, var2: float,
     return 0.5 * (mu1 + mu2) + var * math.log(tau) / (mu1 - mu2)
 
 
+def _solve_thresholds(mu1, mu2, var1, var2, tau):
+    """solve_threshold over arrays, rounded alike (math.log included), NaN
+    where no real root exists; call it under np.errstate(invalid="ignore",
+    divide="ignore")."""
+    a, gap, mid = var1 - var2, mu1 - mu2, 0.5 * (mu1 + mu2)
+    log_ratio = math.log(tau) + 0.5 * (_log(var1) - _log(var2)).astype(float)
+    g = np.sqrt(var1 * var2 * (gap * gap + 2.0 * a * log_ratio))
+    n = mu2 * var1 - mu1 * var2
+    c = var1 * (mu2 * mu2) - var2 * (mu1 * mu1) - 2.0 * var1 * var2 * log_ratio
+    plus = np.where(n < 0.0, c / (n - g), (n + g) / a)  # n + g = g at n = 0
+    equal = np.where(gap == 0.0, mid,
+                     mid + 0.5 * (var1 + var2) * math.log(tau) / gap)
+    return np.where(np.abs(a) > _VARIANCE_EQUALITY_TOL * np.maximum(var1, var2),
+                    plus, equal)
+
+
 def second_order_holds(proj: ProjectedStats) -> bool:
     """Local-minimum test for a stationary threshold:
     z2/sigma2 >= z1/sigma1 (up to 1e-12)."""
@@ -139,7 +159,7 @@ def second_order_holds(proj: ProjectedStats) -> bool:
 
 
 def fisher_init(stats1: ClassStats, stats2: ClassStats) -> np.ndarray:
-    """Fisher direction: (n1 C1 + n2 C2) w = mean1 - mean2."""
+    """Fisher direction: (n1 C1 + n2 C2) w = mean1 - mean2, solved densely."""
     return _pooled_direction(
         stats1.count * stats1.cov + stats2.count * stats2.cov, stats1, stats2)
 
@@ -159,47 +179,76 @@ def train_gld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
               ) -> tuple[LinearDiscriminant, float, GldTrace]:
     """Alternating threshold/direction minimization of the model error.
 
-    Starts from the Fisher direction, records every iterate (at most
-    max_iters+1 of them), and returns the iterate with the smallest model
-    error together with the full trace. converged_by names what ended the
-    loop: "gradient" (the gradient norm fell to grad_tol), "max_iters",
-    "singular_update" (the direction refresh failed), "complex_root" (no
-    real threshold) or "degenerate_projection" (a projected variance
-    vanished). The best recorded iterate is returned in every case. A
-    complex root on the first iterate still records one rule, with the
-    equal-variance threshold at the prior-weighted variance; a degenerate
-    projection on the first iterate raises.
+    Starts from the best of the Fisher blend (pi1, pi2) and _SCAN_POINTS
+    blends (cos a, sin a) evenly inside the arc where the blend is
+    positive definite, each at solve_threshold's threshold; from the
+    Fisher direction if none of them has a real threshold. Records every
+    iterate as a unit-length rule (at most max_iters+1 of them) and
+    returns the iterate with the smallest model error together with the
+    full trace. converged_by names what ended the loop: "gradient" (the
+    gradient norm of GldConfig fell to grad_tol), "max_iters",
+    "singular_update" (the direction refresh mapped the mean difference
+    to zero), "complex_root" (no real threshold) or
+    "degenerate_projection" (a projected variance vanished). The best
+    recorded iterate is returned in every case. A complex root on the
+    first iterate still records one rule, with the equal-variance
+    threshold at the prior-weighted variance; a degenerate projection on
+    the first iterate raises.
     """
     cfg = config or GldConfig()
-    w = fisher_init(stats1, stats2)
+    basis = t, lam, mu = _blend_basis(stats1, stats2, priors)
+    b = t.T @ _mean_difference(stats1, stats2)
+    if not b.any():
+        raise ZeroDirection("mean difference is orthogonal to the pooled "
+                            "covariance range")
+    means = np.stack([stats1.mean, stats2.mean]) @ t
+    spreads = np.stack([lam, mu])
+    phi = np.arctan2(mu, lam)  # lam cos a + mu sin a > 0 within pi/2 of phi
+    arc = np.linspace(phi.max() - 0.5 * math.pi, phi.min() + 0.5 * math.pi,
+                      _SCAN_POINTS + 2)[1:-1]
+    angles = np.append(math.atan2(priors.pi2, priors.pi1), arc)
+    try:
+        _, _, blend = _blend_search(
+            stats1, stats2, priors, np.cos(angles), np.sin(angles),
+            lambda _s1, _s2, *moments: _solve_thresholds(*moments, priors.tau),
+            basis)
+    except DegenerateProjection:  # no scanned blend has a real threshold
+        x = b  # Fisher's direction, as pi1 lam + pi2 mu = 1
+    else:
+        x = _blend_directions(b, lam, mu, *blend)
     records: list[GldIterate] = []
     converged_by = "max_iters"
 
     for iteration in range(cfg.max_iters + 1):
+        w = t @ x
+        scale = math.sqrt(w @ w)
+        w, x = w / scale, x / scale
+        mu1, mu2 = (means @ x).tolist()
+        var1, var2 = (spreads @ (x * x)).tolist()
         try:
-            pre = project_stats(LinearDiscriminant(w, 0.0), stats1, stats2)
-            w0 = solve_threshold(pre.mu1, pre.mu2, pre.var1, pre.var2,
-                                 priors.tau)
+            _check_variances(var1, var2)
+            w0 = solve_threshold(mu1, mu2, var1, var2, priors.tau)
         except ComplexRoot:
             converged_by = "complex_root"
             if records:
                 break
             # no usable iterate yet: take the equal-variance threshold at
             # the prior-weighted variance and stop after recording it
-            var = priors.pi1 * pre.var1 + priors.pi2 * pre.var2
-            w0 = solve_threshold(pre.mu1, pre.mu2, var, var, priors.tau)
+            var = priors.pi1 * var1 + priors.pi2 * var2
+            w0 = solve_threshold(mu1, mu2, var, var, priors.tau)
         except DegenerateProjection:
             if records:
                 converged_by = "degenerate_projection"
                 break
             raise
 
-        proj = replace(pre, z1=(w0 - pre.mu1) / pre.sigma1,
-                       z2=(w0 - pre.mu2) / pre.sigma2)
+        proj = ProjectedStats(mu1, mu2, var1, var2,
+                              (w0 - mu1) / math.sqrt(var1),
+                              (w0 - mu2) / math.sqrt(var2))
         pe = bayes_error(proj, priors)
         gw, g0 = _gradient(w, proj, stats1, stats2, priors)
-        gnorm = math.hypot(float(np.linalg.norm(gw)), g0)
-        records.append(GldIterate(w.copy(), w0, pe, gnorm))
+        gnorm = math.hypot(math.sqrt(gw @ gw), g0)  # |w| = 1
+        records.append(GldIterate(w, w0, pe, gnorm))
 
         if converged_by == "complex_root":
             break
@@ -209,9 +258,9 @@ def train_gld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
         if iteration == cfg.max_iters:
             converged_by = "max_iters"
             break
-        try:
-            w = update_weights(stats1, stats2, proj)
-        except SingularUpdate:
+        x = _blend_directions(b, lam, mu, -proj.z1 / proj.sigma1,
+                              proj.z2 / proj.sigma2)
+        if not x.any():  # the update system maps the mean difference to 0
             converged_by = "singular_update"
             break
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,25 @@ class TestLabeledDataset:
         assert_allclose(sub.features[:, 0], [3.0, 1.0])
         assert list(sub.labels) == [1, 0]
         assert sub.class_names == ("a", "b")
+
+    @pytest.mark.parametrize("indices", [
+        [4, 0, 2], [-1, 0], np.array([2, 2, 5], dtype=np.int32),
+        np.array([True, False] * 5)])
+    def test_subset_rows_match_plain_indexing(self, indices):
+        data = LabeledDataset(np.arange(20.0).reshape(10, 2), [0, 1] * 5)
+        sub = data.subset(indices)
+        idx = np.asarray(indices)
+        assert np.array_equal(sub.features, data.features[idx])
+        assert np.array_equal(sub.labels, data.labels[idx])
+        assert not (sub.features.flags.writeable or sub.labels.flags.writeable)
+
+    @pytest.mark.parametrize("indices", [[10], [-11], [], [1.0, 2.0]])
+    def test_subset_index_errors_match_plain_indexing(self, indices):
+        data = LabeledDataset(np.arange(20.0).reshape(10, 2), [0, 1] * 5)
+        with pytest.raises(IndexError) as expected:
+            data.features[np.asarray(indices)]
+        with pytest.raises(IndexError, match=re.escape(str(expected.value))):
+            data.subset(indices)
 
     def test_subset_trims_names_when_top_label_drops(self):
         data = LabeledDataset([[1.0], [2.0], [3.0]], [0, 1, 2],

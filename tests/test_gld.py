@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import hetlda.discriminant
+import hetlda.baselines
 import hetlda.gld
-from hetlda import (ClassStats, ComplexRoot, DegenerateProjection,
-                    GldConfig, LinearDiscriminant, Priors, ProjectedStats,
-                    SingularUpdate, ZeroDirection, bayes_error,
-                    d1_population, d2_population, fisher_init,
-                    gradient_bayes_error, project_stats, second_order_holds,
-                    solve_threshold, threshold_roots,
-                    train_gld, train_lda, update_weights)
+from hetlda import (ClassStats, ComplexRoot, CvPlan, DegenerateProjection,
+                    GldConfig, LabeledDataset, LinearDiscriminant, Priors,
+                    ProjectedStats, SingularUpdate, ZeroDirection,
+                    bayes_error, compute_class_stats, d1_population,
+                    d2_population, fisher_init, generate_d1, generate_d2,
+                    gradient_bayes_error, kfold_split, project_stats,
+                    second_order_holds, solve_threshold, threshold_roots,
+                    train_gld, train_lda, train_rhld1, update_weights)
+from hetlda.gld import _solve_thresholds
 
 from helpers import proj_for, random_stats
 
@@ -84,6 +86,44 @@ class TestSolveThreshold:
                     other = bayes_error(
                         proj_for(mu1, mu2, var1, var2, shifted), priors)
                     assert pe <= other + 1e-15
+
+
+class TestSolveThresholds:
+    """The scan's array threshold against the scalar one, entry by entry."""
+
+    @staticmethod
+    def assert_matches_scalar(mu1, mu2, var1, var2, tau):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            got = _solve_thresholds(mu1, mu2, var1, var2, tau)
+        for entry, args in zip(got, zip(mu1, mu2, var1, var2)):
+            try:
+                want = solve_threshold(*map(float, args), tau)
+            except ComplexRoot:
+                assert math.isnan(entry)
+                continue
+            assert abs(entry - want) <= np.spacing(abs(want))
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(19)
+        n = 20000
+        var1, var2 = np.exp(rng.uniform(-6, 6, (2, n)))
+        for tau in (0.2, 1.0, 3.7):
+            self.assert_matches_scalar(rng.normal(0, 3, n), rng.normal(0, 3, n),
+                                       var1, var2, tau)
+
+    def test_edges(self):
+        mu1 = np.array([0.0, 3.0, 2.0, 1.5, 1.5, 1.5, 0.01, 0.0])
+        mu2 = np.array([0.0, 1.5, 1.0, 1.5, -0.5, -0.5, 0.0, 0.0])
+        var1 = np.array([2.0, 4.0, 2.0, 2.0, 0.7, 0.7, 1.0, 1.0])
+        var2 = np.array([1.0, 2.0, 1.0, 2.0, 0.7, 0.7 * (1 + 1e-13), 4.0, 4.0])
+        # N = mu2 var1 - mu1 var2 = 0 in the first three, equal variances
+        # (with and without equal means, and equal to 1e-12) next, then
+        # two complex roots
+        with np.errstate(invalid="ignore", divide="ignore"):
+            roots = _solve_thresholds(mu1, mu2, var1, var2, 10.0)
+        assert np.isnan(roots[6:]).all() and not np.isnan(roots[:6]).any()
+        for tau in (1.0, 10.0):
+            self.assert_matches_scalar(mu1, mu2, var1, var2, tau)
 
 
 class TestRootSelection:
@@ -260,6 +300,10 @@ class TestTrainGld:
         assert math.isfinite(disc.w0) and 0.0 <= pe <= 1.0
 
     def test_records_match_a_fresh_projection(self):
+        # the loop projects in the blend basis, so a dense projection of
+        # the recorded rule agrees to rounding, not bit for bit; the
+        # gradient cancels near a minimum, so its norm is held to an
+        # absolute 1e-13 as well (1e-7 of grad_tol; 2.8e-15 seen)
         rng = np.random.default_rng(71)
         problems = [d1_population(), d2_population(), complex_root_stats()]
         problems += [random_stats(rng, d) for d in (1, 2, 3, 4, 5)]
@@ -267,25 +311,33 @@ class TestTrainGld:
             _, _, trace = train_gld(s1, s2, priors)
             for r in trace.records:
                 disc = LinearDiscriminant(r.w, r.w0)
-                assert r.p_e == bayes_error(project_stats(disc, s1, s2),
-                                            priors)
+                assert abs(np.linalg.norm(r.w) - 1.0) <= 1e-15
+                assert_allclose(r.p_e, bayes_error(
+                    project_stats(disc, s1, s2), priors), rtol=1e-12)
                 grad_w, grad_w0 = gradient_bayes_error(disc, s1, s2, priors)
-                assert r.grad_norm == math.hypot(
-                    float(np.linalg.norm(grad_w)), grad_w0)
+                assert_allclose(r.grad_norm, math.hypot(
+                    np.linalg.norm(r.w) * np.linalg.norm(grad_w), grad_w0),
+                    rtol=1e-12, atol=1e-13)
 
-    def test_one_projection_per_pass(self, monkeypatch):
-        calls = []
+    def test_one_basis_and_no_dense_solve_per_pass(self, monkeypatch):
+        # the start and every update are taken in one blend basis
+        calls = {"basis": 0, "solve": 0}
 
-        def counted(*args):
-            calls.append(args)
-            return project_stats(*args)
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(hetlda.discriminant, "project_stats", counted)
-        monkeypatch.setattr(hetlda.gld, "project_stats", counted)
+        monkeypatch.setattr(hetlda.gld, "_blend_basis",
+                            counted("basis", hetlda.gld._blend_basis))
+        for module in (hetlda.gld, hetlda.baselines):
+            monkeypatch.setattr(module, "solve_symmetric",
+                                counted("solve", module.solve_symmetric))
         s1, s2, priors = d1_population()
         _, _, trace = train_gld(s1, s2, priors)
         assert trace.converged_by == "gradient"
-        assert len(calls) == len(trace.records)
+        assert calls == {"basis": 1, "solve": 0}
 
     def test_deterministic(self):
         s1, s2, priors = d2_population()
@@ -293,6 +345,96 @@ class TestTrainGld:
         second = train_gld(s1, s2, priors)
         assert np.array_equal(first[0].w, second[0].w)
         assert first[0].w0 == second[0].w0 and first[1] == second[1]
+
+
+def cv_training_stats():
+    # every training fold of CvPlan(5, 2, s), s = 0-2, on d1 and d2
+    for generate in (generate_d1, generate_d2):
+        for seed in range(3):
+            data = generate(seed)
+            for splits in kfold_split(data, CvPlan(5, 2, seed)):
+                for train_idx, _test_idx in splits:
+                    yield compute_class_stats(data.subset(train_idx), 0, 1)
+
+
+class TestCurveStart:
+    def test_no_regret_against_lda_and_rhld1_on_cv_folds(self):
+        cells = 0
+        for stats in cv_training_stats():
+            _, pe, trace = train_gld(*stats)
+            best = min(train_lda(*stats)[1], train_rhld1(*stats)[1])
+            assert pe <= best + 1e-9
+            assert trace.converged_by == "gradient"
+            cells += 1
+        assert cells == 60
+
+    @pytest.mark.parametrize("population", [d1_population, d2_population])
+    def test_units_do_not_change_the_rule(self, population):
+        s1, s2, priors = population()
+        _, pe, trace = train_gld(s1, s2, priors)
+        for k in range(-8, 9):
+            c = 10.0 ** k
+            scaled = [ClassStats(s.mean * c, s.cov * c * c, s.count)
+                      for s in (s1, s2)]
+            _, pe_c, trace_c = train_gld(*scaled, priors)
+            assert trace_c.converged_by == "gradient"
+            assert abs(pe_c - pe) <= 1e-10
+            assert abs(len(trace_c.records) - len(trace.records)) <= 1
+
+    def test_start_no_worse_than_fisher(self):
+        rng = np.random.default_rng(29)
+        for d in (1, 2, 3, 4, 6, 8):
+            s1, s2, priors = random_stats(rng, d)
+            w = fisher_init(s1, s2)
+            pre = project_stats(LinearDiscriminant(w, 0.0), s1, s2)
+            w0 = solve_threshold(pre.mu1, pre.mu2, pre.var1, pre.var2,
+                                 priors.tau)
+            fisher = bayes_error(project_stats(LinearDiscriminant(w, w0), s1,
+                                               s2), priors)
+            _, _, trace = train_gld(s1, s2, priors)
+            assert trace.records[0].p_e <= fisher * (1 + 1e-12)
+
+    def test_no_direction_when_the_covariances_vanish(self):
+        # features scaled by 1e-200 square to exact zeros, so the mean
+        # difference lies outside the (empty) pooled covariance range
+        data = generate_d2(0)
+        stats = compute_class_stats(
+            LabeledDataset(data.features * 1e-200, data.labels), 0, 1)
+        with pytest.raises(ZeroDirection, match="pooled covariance range"):
+            train_gld(*stats)
+
+    def test_scan_holds_the_fisher_blend_and_positive_definite_blends(
+            self, monkeypatch):
+        real = hetlda.gld._blend_search
+        scans = []
+
+        def recorded(stats1, stats2, priors, s1, s2, *rest):
+            scans.append((s1, s2))
+            return real(stats1, stats2, priors, s1, s2, *rest)
+
+        monkeypatch.setattr(hetlda.gld, "_blend_search", recorded)
+        rng = np.random.default_rng(31)
+        for s1, s2, priors in [d1_population()] + [random_stats(rng, 4)]:
+            scans.clear()
+            train_gld(s1, s2, priors)
+            (c, s), = scans
+            assert c.shape == (17,)
+            assert_allclose(s[0] / c[0], priors.pi2 / priors.pi1, rtol=1e-14)
+            _, lam, mu = hetlda.gld._blend_basis(s1, s2, priors)
+            assert (np.outer(c, lam) + np.outer(s, mu) > 0).all()
+
+    def test_fisher_start_when_no_blend_has_a_real_threshold(self):
+        # C2 = 4 C1 in d = 2 makes every direction's radicand negative
+        cov = np.diag([1.0, 2.0])
+        wide = (ClassStats(np.array([0.01, 0.005]), cov, 100),
+                ClassStats(np.zeros(2), 4.0 * cov, 1000),
+                Priors(100 / 1100, 1000 / 1100))
+        for s1, s2, priors in (complex_root_stats(), wide):
+            _, _, trace = train_gld(s1, s2, priors)
+            assert trace.converged_by == "complex_root"
+            w = fisher_init(s1, s2)
+            assert_allclose(trace.records[0].w, w / np.linalg.norm(w),
+                            rtol=1e-14)
 
 
 class TestTrainGldExits:
@@ -329,20 +471,30 @@ class TestTrainGldExits:
                                   "complex_root", 2)
 
     def test_degenerate_projection_after_first_record(self, monkeypatch):
-        self.fail_on_call(monkeypatch, "project_stats", 3,
+        self.fail_on_call(monkeypatch, "_check_variances", 3,
                           DegenerateProjection)
         self.assert_best_returned(train_gld(*d1_population()),
                                   "degenerate_projection", 2)
 
     def test_degenerate_projection_on_first_iterate_raises(self,
                                                            monkeypatch):
-        self.fail_on_call(monkeypatch, "project_stats", 1,
+        self.fail_on_call(monkeypatch, "_check_variances", 1,
                           DegenerateProjection)
         with pytest.raises(DegenerateProjection, match="forced on call 1"):
             train_gld(*d1_population())
 
     def test_singular_update(self, monkeypatch):
-        self.fail_on_call(monkeypatch, "update_weights", 2, SingularUpdate)
+        # call 1 gives the start, call n > 1 the (n-1)-th update; an all
+        # zero update is the singular case
+        real = hetlda.gld._blend_directions
+        calls = []
+
+        def zero_on_third(*args):
+            calls.append(args)
+            x = real(*args)
+            return np.zeros_like(x) if len(calls) == 3 else x
+
+        monkeypatch.setattr(hetlda.gld, "_blend_directions", zero_on_third)
         self.assert_best_returned(train_gld(*d1_population()),
                                   "singular_update", 2)
 
