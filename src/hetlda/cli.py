@@ -44,7 +44,9 @@ def _add_trainer_flags(parser: argparse.ArgumentParser) -> None:
     for flag, default, text in (
             ("--max-iters", GldConfig.max_iters, "fixed-point iteration cap"),
             ("--grad-tol", GldConfig.grad_tol,
-             "gradient-norm stopping tolerance"),
+             "gld stops when the norm of the w-gradient of its unit-length "
+             "rule falls to this; unit-free, the same for data scaled by "
+             "10^-16 to 10^16"),
             ("--step", SweepConfig.step, "grid spacing for chld"),
             ("--s-min", SweepConfig.s_range[0], "random-draw range lower end"),
             ("--s-max", SweepConfig.s_range[1], "random-draw range upper end"),

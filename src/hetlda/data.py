@@ -367,7 +367,8 @@ class BenchmarkReport:
     def to_text(self) -> str:
         lines = [f"folds={self.plan.folds} trials={self.plan.trials} "
                  f"seed={self.plan.seed}; Bayes error is the mean over "
-                 "pairwise rules, computed on the training fold"]
+                 "pairwise rules, computed on the training fold (for "
+                 "gld-lns, the training misclassification rate)"]
         header = f"{'method':<10} {'bayes_error':<19} {'accuracy':<19} " \
                  f"{'train_time':<12}"
         lines.append(header)

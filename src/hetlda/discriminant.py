@@ -331,13 +331,15 @@ def _gradient(w: np.ndarray, proj: ProjectedStats, stats1: ClassStats,
 def _as_batch(features, d: int) -> np.ndarray:
     """features as an n x d float matrix. A scalar or a vector is one
     sample; any other shape, or another width than d, raises
-    DimensionMismatch."""
+    DimensionMismatch, and a NaN or infinite entry ValueError."""
     x = np.asarray(features, dtype=float)
     batch = x.reshape(1, -1) if x.ndim < 2 else x
     if batch.ndim != 2 or batch.shape[1] != d:
         raise DimensionMismatch(
             f"samples of shape {x.shape}, expected one sample of {d} "
             f"features or an n x {d} matrix")
+    if not np.isfinite(batch).all():
+        raise ValueError("samples must be finite")
     return batch
 
 

@@ -33,18 +33,17 @@ __all__ = [
 
 _SECOND_ORDER_TOL = 1e-12
 _SCAN_POINTS = 16  # interior points of the start scan, besides Fisher's
-_log = np.frompyfunc(math.log, 1, 1)
 # Relative gap below which two projected variances count as equal.
 _VARIANCE_EQUALITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class GldConfig:
-    """Stopping rules for train_gld: the loop ends when the gradient norm
-    hypot(|w| ||dp_e/dw||, |dp_e/dw0|) of the unit-length rule falls to
-    grad_tol, or after max_iters direction updates. The first term does
-    not depend on the units of the data, and the exact threshold makes
-    the second zero up to rounding."""
+    """Stopping rules for train_gld: the loop ends when ||dp_e/dw|| of the
+    unit-length rule falls to grad_tol, or after max_iters direction
+    updates. The exact threshold makes dp_e/dw0 = 0, so this is the
+    gradient of the error minimized over w0; it has no units, and data
+    scaled by 10^-16 to 10^16 stop alike."""
 
     max_iters: int = 20
     grad_tol: float = 1e-6
@@ -58,7 +57,7 @@ class GldConfig:
 
 @dataclass(frozen=True)
 class GldIterate:
-    """One step: the unit-length rule, its model error, its gradient norm."""
+    """One step: the unit-length rule, its model error, its ||dp_e/dw||."""
 
     w: np.ndarray
     w0: float
@@ -136,20 +135,16 @@ def solve_threshold(mu1: float, mu2: float, var1: float, var2: float,
     return 0.5 * (mu1 + mu2) + var * math.log(tau) / (mu1 - mu2)
 
 
-def _solve_thresholds(mu1, mu2, var1, var2, tau):
-    """solve_threshold over arrays, rounded alike (math.log included), NaN
-    where no real root exists; call it under np.errstate(invalid="ignore",
-    divide="ignore")."""
-    a, gap, mid = var1 - var2, mu1 - mu2, 0.5 * (mu1 + mu2)
-    log_ratio = math.log(tau) + 0.5 * (_log(var1) - _log(var2)).astype(float)
-    g = np.sqrt(var1 * var2 * (gap * gap + 2.0 * a * log_ratio))
-    n = mu2 * var1 - mu1 * var2
-    c = var1 * (mu2 * mu2) - var2 * (mu1 * mu1) - 2.0 * var1 * var2 * log_ratio
-    plus = np.where(n < 0.0, c / (n - g), (n + g) / a)  # n + g = g at n = 0
-    equal = np.where(gap == 0.0, mid,
-                     mid + 0.5 * (var1 + var2) * math.log(tau) / gap)
-    return np.where(np.abs(a) > _VARIANCE_EQUALITY_TOL * np.maximum(var1, var2),
-                    plus, equal)
+def _scan_thresholds(tau, *moments):
+    """solve_threshold for each candidate of the arrays (mu1, mu2, var1,
+    var2); NaN where it finds no real root or a variance is not positive."""
+    w0 = []
+    for candidate in zip(*(m.tolist() for m in moments)):
+        try:
+            w0.append(solve_threshold(*candidate, tau))
+        except (ComplexRoot, ValueError):
+            w0.append(math.nan)
+    return np.array(w0)
 
 
 def second_order_holds(proj: ProjectedStats) -> bool:
@@ -210,7 +205,7 @@ def train_gld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
     try:
         _, _, blend = _blend_search(
             stats1, stats2, priors, np.cos(angles), np.sin(angles),
-            lambda _s1, _s2, *moments: _solve_thresholds(*moments, priors.tau),
+            lambda _s1, _s2, *moments: _scan_thresholds(priors.tau, *moments),
             basis)
     except DegenerateProjection:  # no scanned blend has a real threshold
         x = b  # Fisher's direction, as pi1 lam + pi2 mu = 1
@@ -246,8 +241,8 @@ def train_gld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
                               (w0 - mu1) / math.sqrt(var1),
                               (w0 - mu2) / math.sqrt(var2))
         pe = bayes_error(proj, priors)
-        gw, g0 = _gradient(w, proj, stats1, stats2, priors)
-        gnorm = math.hypot(math.sqrt(gw @ gw), g0)  # |w| = 1
+        gw, _ = _gradient(w, proj, stats1, stats2, priors)
+        gnorm = math.sqrt(gw @ gw)
         records.append(GldIterate(w, w0, pe, gnorm))
 
         if converged_by == "complex_root":
@@ -264,8 +259,7 @@ def train_gld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
             converged_by = "singular_update"
             break
 
-    pes = [r.p_e for r in records]
-    best_index = int(np.argmin(pes))
+    best_index = int(np.argmin([r.p_e for r in records]))
     best = records[best_index]
     trace = GldTrace(tuple(records), converged_by, best_index)
     return LinearDiscriminant(best.w, best.w0), best.p_e, trace

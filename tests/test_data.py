@@ -730,6 +730,7 @@ class TestReportFormats:
                                CvPlan(folds=4, trials=1))
         text = report.to_text()
         assert "training fold" in text
+        assert "gld-lns, the training misclassification rate" in text
         assert "lda" in text and "±" in text
 
 

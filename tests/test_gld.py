@@ -14,7 +14,7 @@ from hetlda import (ClassStats, ComplexRoot, CvPlan, DegenerateProjection,
                     gradient_bayes_error, kfold_split, project_stats,
                     second_order_holds, solve_threshold, threshold_roots,
                     train_gld, train_lda, train_rhld1, update_weights)
-from hetlda.gld import _solve_thresholds
+from hetlda.gld import _scan_thresholds
 
 from helpers import proj_for, random_stats
 
@@ -88,28 +88,8 @@ class TestSolveThreshold:
                     assert pe <= other + 1e-15
 
 
-class TestSolveThresholds:
-    """The scan's array threshold against the scalar one, entry by entry."""
-
-    @staticmethod
-    def assert_matches_scalar(mu1, mu2, var1, var2, tau):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            got = _solve_thresholds(mu1, mu2, var1, var2, tau)
-        for entry, args in zip(got, zip(mu1, mu2, var1, var2)):
-            try:
-                want = solve_threshold(*map(float, args), tau)
-            except ComplexRoot:
-                assert math.isnan(entry)
-                continue
-            assert abs(entry - want) <= np.spacing(abs(want))
-
-    def test_random_inputs(self):
-        rng = np.random.default_rng(19)
-        n = 20000
-        var1, var2 = np.exp(rng.uniform(-6, 6, (2, n)))
-        for tau in (0.2, 1.0, 3.7):
-            self.assert_matches_scalar(rng.normal(0, 3, n), rng.normal(0, 3, n),
-                                       var1, var2, tau)
+class TestScanThresholds:
+    """The start scan's threshold callback: solve_threshold per candidate."""
 
     def test_edges(self):
         mu1 = np.array([0.0, 3.0, 2.0, 1.5, 1.5, 1.5, 0.01, 0.0])
@@ -118,12 +98,25 @@ class TestSolveThresholds:
         var2 = np.array([1.0, 2.0, 1.0, 2.0, 0.7, 0.7 * (1 + 1e-13), 4.0, 4.0])
         # N = mu2 var1 - mu1 var2 = 0 in the first three, equal variances
         # (with and without equal means, and equal to 1e-12) next, then
-        # two complex roots
-        with np.errstate(invalid="ignore", divide="ignore"):
-            roots = _solve_thresholds(mu1, mu2, var1, var2, 10.0)
-        assert np.isnan(roots[6:]).all() and not np.isnan(roots[:6]).any()
+        # two complex roots at tau = 10
         for tau in (1.0, 10.0):
-            self.assert_matches_scalar(mu1, mu2, var1, var2, tau)
+            roots = _scan_thresholds(tau, mu1, mu2, var1, var2)
+            assert roots.shape == (8,)
+            for entry, args in zip(roots.tolist(), zip(mu1, mu2, var1, var2)):
+                try:
+                    want = solve_threshold(*map(float, args), tau)
+                except ComplexRoot:
+                    assert math.isnan(entry)
+                else:
+                    assert entry == want
+            assert np.isnan(roots[6:]).all() == (tau == 10.0)
+            assert not np.isnan(roots[:6]).any()
+
+    def test_unusable_variances_give_nan(self):
+        var = np.array([0.0, -1.0, np.nan, np.inf, 1.0])
+        roots = _scan_thresholds(2.0, np.ones(5), np.zeros(5), var, np.ones(5))
+        assert np.isnan(roots[:4]).all()
+        assert roots[4] == solve_threshold(1.0, 0.0, 1.0, 1.0, 2.0)
 
 
 class TestRootSelection:
@@ -303,7 +296,8 @@ class TestTrainGld:
         # the loop projects in the blend basis, so a dense projection of
         # the recorded rule agrees to rounding, not bit for bit; the
         # gradient cancels near a minimum, so its norm is held to an
-        # absolute 1e-13 as well (1e-7 of grad_tol; 2.8e-15 seen)
+        # absolute 1e-13 as well (1e-7 of grad_tol); grad_norm is the
+        # norm of the w-gradient alone
         rng = np.random.default_rng(71)
         problems = [d1_population(), d2_population(), complex_root_stats()]
         problems += [random_stats(rng, d) for d in (1, 2, 3, 4, 5)]
@@ -314,10 +308,9 @@ class TestTrainGld:
                 assert abs(np.linalg.norm(r.w) - 1.0) <= 1e-15
                 assert_allclose(r.p_e, bayes_error(
                     project_stats(disc, s1, s2), priors), rtol=1e-12)
-                grad_w, grad_w0 = gradient_bayes_error(disc, s1, s2, priors)
-                assert_allclose(r.grad_norm, math.hypot(
-                    np.linalg.norm(r.w) * np.linalg.norm(grad_w), grad_w0),
-                    rtol=1e-12, atol=1e-13)
+                grad_w, _ = gradient_bayes_error(disc, s1, s2, priors)
+                assert_allclose(r.grad_norm, np.linalg.norm(grad_w),
+                                rtol=1e-12, atol=1e-13)
 
     def test_one_basis_and_no_dense_solve_per_pass(self, monkeypatch):
         # the start and every update are taken in one blend basis
@@ -370,15 +363,17 @@ class TestCurveStart:
 
     @pytest.mark.parametrize("population", [d1_population, d2_population])
     def test_units_do_not_change_the_rule(self, population):
+        # the stop's gradient norm is unit-free, so no scale stops early
+        # or runs to max_iters
         s1, s2, priors = population()
         _, pe, trace = train_gld(s1, s2, priors)
-        for k in range(-8, 9):
+        for k in range(-16, 17):
             c = 10.0 ** k
             scaled = [ClassStats(s.mean * c, s.cov * c * c, s.count)
                       for s in (s1, s2)]
             _, pe_c, trace_c = train_gld(*scaled, priors)
             assert trace_c.converged_by == "gradient"
-            assert abs(pe_c - pe) <= 1e-10
+            assert abs(pe_c - pe) <= 1e-12 * pe
             assert abs(len(trace_c.records) - len(trace.records)) <= 1
 
     def test_start_no_worse_than_fisher(self):
@@ -466,7 +461,9 @@ class TestTrainGldExits:
         assert pe == best.p_e
 
     def test_complex_root_after_first_record(self, monkeypatch):
-        self.fail_on_call(monkeypatch, "solve_threshold", 3, ComplexRoot)
+        # the start scan's 17 candidates call solve_threshold first, so
+        # call 20 is the loop's third iterate
+        self.fail_on_call(monkeypatch, "solve_threshold", 20, ComplexRoot)
         self.assert_best_returned(train_gld(*d1_population()),
                                   "complex_root", 2)
 

@@ -5,7 +5,7 @@ import pytest
 
 from hetlda import (DimensionMismatch, EmptyClass, LabeledDataset,
                     LinearDiscriminant, OvoModel, classify,
-                    compute_class_stats, make_trainer,
+                    compute_class_stats, generate_d2, make_trainer,
                     predict_ovo, predict_ovo_batch, train_ovo)
 
 
@@ -240,6 +240,18 @@ class TestPredictOvo:
             with pytest.raises(DimensionMismatch):
                 predict_ovo(model, x)
         assert predict_ovo_batch(model, [[1.0], [-1.0]]).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        # a NaN compares false and used to vote for the second class
+        model = train_ovo(generate_d2(0), make_trainer("lda"))
+        sample = [bad, 0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="samples must be finite"):
+            predict_ovo_batch(model, [[0.0] * 4, sample])
+        with pytest.raises(ValueError, match="samples must be finite"):
+            predict_ovo(model, sample)
+        with pytest.raises(ValueError, match="samples must be finite"):
+            classify(model.pairs[0][2], sample)
 
     def test_permutation_equivariance(self):
         data = blobs([(0.0, 0.0), (9.0, 0.0), (0.0, 9.0)], 60, seed=7)
