@@ -2,11 +2,12 @@
 covariance-blend family searched by grid or random draws.
 
 All of them return (rule, model error, (s1, s2)): the direction is the
-minimum-norm solution of (s1 C1 + s2 C2) w = mean1 - mean2. lda's error
-is evaluated with the same machinery as the fixed-point trainer, the
-searches' by the blend engine in closed form, so the numbers are
-directly comparable. The one-parameter searches use the variance-weighted
-threshold (s1 mu2 var1 + s2 mu1 var2) / (s1 var1 + s2 var2).
+minimum-norm solution of (s1 C1 + s2 C2) w = mean1 - mean2, its rank
+set by numkit's one unit-diagonal rule. lda's error is evaluated with
+the same machinery as the fixed-point trainer, the searches' by the
+blend engine in closed form, so the numbers are directly comparable.
+The one-parameter searches use the variance-weighted threshold
+(s1 mu2 var1 + s2 mu1 var2) / (s1 var1 + s2 var2).
 """
 from __future__ import annotations
 
@@ -19,12 +20,12 @@ from .discriminant import (_MIN_PROJECTED_VARIANCE, ClassStats,
                            LinearDiscriminant, Priors, _integer,
                            bayes_error, project_stats)
 from .errors import DegenerateProjection, ZeroDirection
-from .numkit import solve_symmetric
+from . import numkit
+from .numkit import solve_symmetric, unit_diagonal_eigh
 
 __all__ = ["SweepConfig", "train_lda", "train_chld", "train_rhld1",
            "train_rhld2"]
 
-_SINGULAR_RTOL = 1e-10
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
@@ -94,12 +95,11 @@ def train_lda(stats1: ClassStats, stats2: ClassStats, priors: Priors
 def _blend_basis(stats1: ClassStats, stats2: ClassStats, priors: Priors
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(T, lam, mu) with T' C1 T = diag(lam), T' C2 T = diag(mu) and
-    pi1 lam + pi2 mu = 1: T whitens P = pi1 C1 + pi2 C2 on the span of
-    its eigenvalues above _SINGULAR_RTOL of the largest, where every
-    blend lives, and diagonalizes C1 there."""
-    e, u = np.linalg.eigh(priors.pi1 * stats1.cov + priors.pi2 * stats2.cov)
-    span = e > max(_SINGULAR_RTOL * e.max(), 0.0)
-    white = u[:, span] / np.sqrt(e[span])
+    pi1 lam + pi2 mu = 1: T whitens P = pi1 C1 + pi2 C2 on the span that
+    numkit.unit_diagonal_eigh keeps, where every blend lives, and
+    diagonalizes C1 there. T T' is solve_symmetric's inverse of P."""
+    e, u = unit_diagonal_eigh(priors.pi1 * stats1.cov + priors.pi2 * stats2.cov)
+    white = u[:, e > 0] / np.sqrt(e[e > 0])
     lam, v = np.linalg.eigh(white.T @ stats1.cov @ white)
     t = white @ v
     return t, lam, np.einsum("ij,ik,kj->j", t, stats2.cov, t)
@@ -107,12 +107,12 @@ def _blend_basis(stats1: ClassStats, stats2: ClassStats, priors: Priors
 
 def _blend_directions(b, lam, mu, s1, s2):
     """x with T x the minimum-norm solution of (s1 C1 + s2 C2) w = d, b =
-    T' d, for each blend; an eigenvalue within _SINGULAR_RTOL of the
-    blend's largest drops out, as in a minimum-norm solve."""
+    T' d, for each blend; an eigenvalue within numkit._SINGULAR_RTOL of
+    the blend's largest drops out, as in solve_symmetric."""
     eig = np.multiply.outer(s1, lam) + np.multiply.outer(s2, mu)
     size = np.abs(eig)
-    nonzero = size > _SINGULAR_RTOL * size.max(-1, keepdims=True, initial=0.0)
-    return np.divide(b, eig, out=np.zeros(eig.shape), where=nonzero)
+    cut = numkit._SINGULAR_RTOL * size.max(-1, keepdims=True, initial=0.0)
+    return np.divide(b, eig, out=np.zeros(eig.shape), where=size > cut)
 
 
 def _blend_search(stats1: ClassStats, stats2: ClassStats, priors: Priors,

@@ -83,8 +83,8 @@ class LabeledDataset:
     def __post_init__(self):
         x = np.asarray(self.features, dtype=float)
         y = np.asarray(self.labels)
-        if x.ndim != 2:
-            raise DimensionMismatch(f"features must be n x d, got shape {x.shape}")
+        if x.ndim != 2 or x.shape[1] == 0:
+            raise DimensionMismatch(f"features must be n x d, d >= 1, got {x.shape}")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
             raise DimensionMismatch(
                 f"labels shape {y.shape} does not match {x.shape[0]} rows")
@@ -224,12 +224,12 @@ def compute_class_stats(data: LabeledDataset, class_a: int,
     """Moments and priors for the two named classes.
 
     Each class gets the arithmetic mean of its rows and the population
-    covariance about it (divided by n, exactly symmetric). Priors come
-    from the relative counts of the two classes alone. Each class must
-    contribute at least two samples, and its moments must be finite:
-    features too large to square raise DegenerateProjection, since no
-    projection of an infinite covariance has a finite spread. A class's
-    moments are computed once per dataset and then read from its cache.
+    covariance about it (divided by n, exactly symmetric, 0 along a
+    feature constant in the class). Priors come from the relative counts
+    of the two classes alone. Each class must contribute at least two
+    samples, and its moments must be finite: features too large to
+    square raise DegenerateProjection, since no projection of an infinite
+    covariance has a finite spread. Moments are computed once per dataset.
     """
     (m1, c1, n1), (m2, c2, n2) = (_class_moments(data, label)
                                   for label in (class_a, class_b))
@@ -255,6 +255,11 @@ def _class_moments(data: LabeledDataset,
         centered = rows - m
         cov = centered.T @ centered / idx.size
         cov = (cov + cov.T) / 2.0
+        # a constant column's variance is the mean's rounding, at most
+        # n eps |m|, which numkit's unit-diagonal rule would scale up
+        flat = np.sqrt(np.diag(cov)) <= idx.size * 2.0 ** -52 * np.abs(m)
+        flat[flat] = (rows[:, flat] == rows[0, flat]).all(axis=0)
+        cov[flat] = cov[:, flat] = 0.0
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(cov))):
         raise DegenerateProjection(
             f"class {label} moments overflow: the mean or covariance "

@@ -1,7 +1,8 @@
-"""Small numeric kernel: symmetric solves and the normal tail.
+"""Small numeric kernel: the one rank rule for symmetric matrices, and the
+normal tail. Everything returns float64 and never mutates its inputs.
 
-Thin, contract-checked wrappers around numpy. Everything returns float64
-and never mutates its inputs.
+A matrix is scaled to unit diagonal (van der Sluis 1969) before its rank
+is decided, so the units of a feature move no eigenvalue across the cut.
 """
 from __future__ import annotations
 
@@ -11,40 +12,36 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-__all__ = ["solve_symmetric", "q_function"]
+__all__ = ["unit_diagonal_eigh", "solve_symmetric", "q_function"]
 
-# relative residual above which an exact solve is abandoned for the
-# minimum-norm least-squares fallback
-_RESIDUAL_RTOL = 1e-8
+# at unit diagonal, an exact dependency leaves eigenvalues near 4e-16
+_SINGULAR_RTOL = 1e-14
+
+
+def unit_diagonal_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, V) with V' A V = diag(e) where the symmetric float matrix A is
+    not singular: eigh of D A D, D = diag(|A_ii|^-1/2) (1 where A_ii = 0),
+    keeps the eigenvalues e of size above _SINGULAR_RTOL of the largest,
+    and V = D U scales their eigenvectors back to feature units."""
+    diag = np.abs(A.diagonal())
+    scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    e, u = np.linalg.eigh(scale[:, None] * A * scale)
+    keep = np.abs(e) > _SINGULAR_RTOL * np.abs(e).max(initial=0.0)
+    return e[keep], scale[:, None] * u[:, keep]
 
 
 def solve_symmetric(A, b) -> np.ndarray:
-    """Solve A x = b for symmetric A.
-
-    Uses an exact solve when A is well-posed (relative residual at most
-    1e-8); otherwise falls back to the minimum-norm least-squares solution
-    with singular values below max_sv * d * 1e-12 treated as zero.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    if b.shape != (A.shape[0],):
-        raise DimensionMismatch(
-            f"right-hand side has shape {b.shape}, matrix is {A.shape[0]} x {A.shape[0]}")
-    b_norm = float(np.linalg.norm(b))
-    try:
-        x = np.linalg.solve(A, b)
-        if np.all(np.isfinite(x)):
-            residual = float(np.linalg.norm(A @ x - b))
-            if residual <= _RESIDUAL_RTOL * max(b_norm, 1e-300):
-                return x
-    except np.linalg.LinAlgError:
-        pass
-    x, *_ = np.linalg.lstsq(A, b, rcond=A.shape[0] * 1e-12)
-    if not np.all(np.isfinite(x)):
-        raise DimensionMismatch("least-squares fallback produced non-finite values")
-    return x
+    """Solution of A x = b for symmetric A, V diag(1/e) V' b on
+    unit_diagonal_eigh's (e, V): when A is singular, x = D y with y the
+    minimum-norm least-squares solution of D A D y = D b."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    if b.ndim != 1 or A.shape != (b.size, b.size):
+        raise DimensionMismatch("expected a square matrix and a matching "
+                                f"vector, got shapes {A.shape} and {b.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("solve_symmetric needs a finite matrix and vector")
+    e, v = unit_diagonal_eigh(A)
+    return v @ ((b @ v) / e)
 
 
 def q_function(z: float) -> float:

@@ -11,6 +11,7 @@ from hetlda import (ClassStats, DegenerateProjection, LabeledDataset,
                     d2_population, decision_values, generate_d1, generate_d2,
                     project_stats, solve_symmetric, train_chld, train_gld,
                     train_lda, train_rhld1, train_rhld2)
+from hetlda.baselines import _blend_basis, _blend_directions
 
 from helpers import random_stats
 
@@ -146,7 +147,9 @@ class TestTrainRhld1:
         disc, pe, info = train_rhld1(s1, s2, priors, cfg)
         lda_disc, pe_lda, _ = train_lda(s1, s2, priors)
         assert info[1] == 0.5
-        assert np.array_equal(disc.w, lda_disc.w)
+        # the engine's T x and lda's solve agree to rounding, not bit for bit
+        assert (np.linalg.norm(disc.w - lda_disc.w)
+                <= 1e-12 * np.linalg.norm(lda_disc.w))
         assert_allclose(disc.w0, lda_disc.w0, rtol=1e-12)
         assert_allclose(pe, pe_lda, rtol=1e-12)
 
@@ -262,20 +265,71 @@ class TestCommonGuarantees:
                             <= 1e-12 * np.linalg.norm(w))
 
     def test_constant_feature_changes_no_rule(self):
+        # the mean of a constant 0.1 is not 0.1, and the rounding left in
+        # its variance must not count as a direction
         for data in (generate_d1(0), generate_d2(0)):
-            padded = LabeledDataset(
-                np.column_stack([data.features, np.full(data.n_samples, 3.0)]),
-                data.labels)
             base = compute_class_stats(data, 0, 1)
-            wide = compute_class_stats(padded, 0, 1)
-            for train in (train_lda, *TRAINERS.values(), train_gld):
-                disc, pe, info = train(*base)
-                disc_c, pe_c, info_c = train(*wide)
-                assert abs(pe_c - pe) <= 1e-12 * pe, train.__name__
-                if train is train_gld:
-                    info, info_c = info.converged_by, info_c.converged_by
-                assert info_c == info, train.__name__
-                assert disc_c.w[-1] == 0.0, train.__name__
+            for value in (3.0, 0.1, 1e5 + 0.1):
+                padded = LabeledDataset(
+                    np.column_stack([data.features,
+                                     np.full(data.n_samples, value)]),
+                    data.labels)
+                wide = compute_class_stats(padded, 0, 1)
+                for train in (train_lda, *TRAINERS.values(), train_gld):
+                    disc, pe, info = train(*base)
+                    disc_c, pe_c, info_c = train(*wide)
+                    assert abs(pe_c - pe) <= 1e-12 * pe, (train.__name__,
+                                                          value)
+                    if train is train_gld:
+                        info = info.converged_by
+                        info_c = info_c.converged_by
+                    assert info_c == info, train.__name__
+                    assert disc_c.w[-1] == 0.0, train.__name__
+
+    def test_rescaling_a_feature_moves_no_error(self):
+        # every trainer decides rank on the unit-diagonal pooled matrix,
+        # so the units of a feature move no eigenvalue across the cut
+        trainers = (train_lda, *TRAINERS.values(), train_gld)
+        for data in (generate_d1(0), generate_d2(0)):
+            expected = [train(*compute_class_stats(data, 0, 1))[1]
+                        for train in trainers]
+            for k in (-8, -6, -5, 5, 6, 8):
+                for j in range(data.n_features):
+                    x = data.features.copy()
+                    x[:, j] *= 10.0 ** k
+                    stats = compute_class_stats(LabeledDataset(x, data.labels),
+                                                0, 1)
+                    for train, pe in zip(trainers, expected):
+                        assert abs(train(*stats)[1] - pe) <= 1e-9 * pe, (
+                            train.__name__, k, j)
+
+    def test_exact_sum_column_gives_lda_the_engine_direction(self):
+        # the pooled matrix is singular up to rounding; lda's solve and
+        # the engine must drop the same rounding eigenvalue
+        for data in (generate_d1(0), generate_d2(0)):
+            x = np.column_stack([data.features,
+                                 data.features[:, 1] + data.features[:, 2]])
+            stats1, stats2, priors = compute_class_stats(
+                LabeledDataset(x, data.labels), 0, 1)
+            t, lam, mu = _blend_basis(stats1, stats2, priors)
+            engine = t @ _blend_directions(t.T @ (stats1.mean - stats2.mean),
+                                           lam, mu, priors.pi1, priors.pi2)
+            w = train_lda(stats1, stats2, priors)[0].w
+            assert (np.linalg.norm(w - engine)
+                    <= 1e-12 * np.linalg.norm(engine))
+
+    def test_signal_in_a_near_dependency_reaches_gld(self):
+        # the classes differ only along b - a, whose spread is 1e-5 of
+        # a's, so the pooled matrix has an eigenvalue near 5e-11 of its
+        # largest: a real direction, which gld must keep as lda does
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal(4000)
+        signal = np.concatenate([rng.normal(0.0, 1.0, 2000),
+                                 rng.normal(1.5, 2.0, 2000)])
+        x = np.column_stack([a, a + 1e-5 * signal, rng.standard_normal(4000)])
+        stats = compute_class_stats(
+            LabeledDataset(x, np.repeat([0, 1], 2000)), 0, 1)
+        assert train_gld(*stats)[1] <= train_lda(*stats)[1]
 
 
 def reference_search(method, stats1, stats2, priors, cfg):

@@ -130,6 +130,11 @@ class TestLabeledDataset:
         with pytest.raises(EmptyClass, match="no rows"):
             LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
+    def test_no_feature_columns_rejected(self):
+        # lda would blame identical means and gld a numpy reduction
+        with pytest.raises(DimensionMismatch, match="d >= 1"):
+            LabeledDataset(np.zeros((6, 0)), [0, 0, 0, 1, 1, 1])
+
 
 def test_objects_keep_read_only_copies_of_writeable_arrays():
     w = np.array([1.0, 2.0])
@@ -247,6 +252,17 @@ class TestComputeClassStats:
         assert kept([0, 0, 1, 2, 3, 4, 5, 6, 7]) == set()  # a row twice
         assert kept(range(-8, 0)) == set()
         assert kept(np.ones(8, dtype=bool)) == set()
+
+    def test_only_a_constant_column_has_zero_variance(self):
+        # the mean of fifteen 0.1s is not 0.1, and what that leaves in the
+        # variance is no spread; a column moving by single ulps is one
+        rng = np.random.default_rng(6)
+        x = np.column_stack([rng.standard_normal(30), np.full(30, 0.1),
+                             1e18 + 128.0 * rng.integers(0, 3, 30)])
+        stats, _, _ = compute_class_stats(
+            LabeledDataset(x, np.repeat([0, 1], 15)), 0, 1)
+        assert not stats.cov[1].any() and not stats.cov[:, 1].any()
+        assert stats.cov[0, 0] > 0 and stats.cov[2, 2] > 0
 
     def test_moments_that_overflow_are_an_error(self):
         # squares of 1e200 overflow; the run turns warnings into errors,

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from hetlda import (DimensionMismatch, LabeledDataset, compute_class_stats,
                     q_function, solve_symmetric)
+from hetlda.numkit import unit_diagonal_eigh
 
 # Tail probabilities frozen from numerical integration of the standard
 # normal density (adaptive quadrature, abs tol 1e-14).
@@ -105,6 +106,33 @@ class TestSolveSymmetric:
             b = rng.standard_normal(d)
             x = solve_symmetric(a, b)
             assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
+
+    def test_rescaled_singular_system(self):
+        # rank is decided at unit diagonal, so D A D x = D b is solved
+        # by D^-1 x for any positive diagonal D, singular A included
+        rng = np.random.default_rng(9)
+        root = rng.standard_normal((4, 2))
+        a, b = root @ root.T, root @ rng.standard_normal(2)
+        x = solve_symmetric(a, b)
+        assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+        for k in (-8, -5, 5, 8):
+            d = 10.0 ** (k * np.array([1.0, 0.0, -1.0, 0.5]))
+            scaled = solve_symmetric(d[:, None] * a * d, d * b)
+            assert_allclose(d * scaled, x, rtol=1e-9)
+
+    def test_unit_diagonal_eigh_diagonalizes(self):
+        a = np.array([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        e, v = unit_diagonal_eigh(a)
+        assert e.shape == (1,) and v.shape == (3, 1)
+        assert_allclose(v.T @ a @ v, np.diag(e), atol=1e-15)
+        assert_allclose(e, [2.0])
+
+    def test_non_finite_input(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                solve_symmetric(np.diag([1.0, bad]), [1.0, 1.0])
+            with pytest.raises(ValueError, match="finite"):
+                solve_symmetric(np.eye(2), [1.0, bad])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
