@@ -15,11 +15,10 @@ from .discriminant import (ClassStats, LabeledDataset, LinearDiscriminant,
                            training_error_count)
 from .errors import (ComplexRoot, DegenerateProjection, DimensionMismatch,
                      EmptyClass, HetldaError, InconsistentWidth,
-                     InfeasibleStratification, ParseError, SingularUpdate,
-                     VersionMismatch, ZeroDirection)
-from .gld import (GldConfig, GldIterate, GldTrace, fisher_init,
-                  second_order_holds, solve_threshold, threshold_roots,
-                  train_gld, update_weights)
+                     InfeasibleStratification, ParseError, VersionMismatch,
+                     ZeroDirection)
+from .gld import (GldConfig, GldIterate, GldTrace, second_order_holds,
+                  solve_threshold, threshold_roots, train_gld)
 from .lns import LnsConfig, local_neighbourhood_search
 from .methods import METHOD_NAMES, make_trainer
 from .model_io import (FORMAT_VERSION, dataset_hash, load_model, save_model)

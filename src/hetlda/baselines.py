@@ -2,12 +2,13 @@
 covariance-blend family searched by grid or random draws.
 
 All of them return (rule, model error, (s1, s2)): the direction is the
-minimum-norm solution of (s1 C1 + s2 C2) w = mean1 - mean2, its rank
-set by numkit's one unit-diagonal rule. lda's error is evaluated with
-the same machinery as the fixed-point trainer, the searches' by the
-blend engine in closed form, so the numbers are directly comparable.
-The one-parameter searches use the variance-weighted threshold
-(s1 mu2 var1 + s2 mu1 var2) / (s1 var1 + s2 var2).
+minimum-norm solution of (s1 C1 + s2 C2) w = mean1 - mean2 (lda's blend
+is (pi1, pi2)), taken in the one basis of _blend_basis, its rank set by
+numkit's one unit-diagonal rule; no trainer solves a dense system. lda's
+error is evaluated with the same machinery as the fixed-point trainer,
+the searches' by the blend engine in closed form, so the numbers are
+directly comparable. The one-parameter searches use the variance-weighted
+threshold (s1 mu2 var1 + s2 mu1 var2) / (s1 var1 + s2 var2).
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ from .discriminant import (_MIN_PROJECTED_VARIANCE, ClassStats,
                            bayes_error, project_stats)
 from .errors import DegenerateProjection, ZeroDirection
 from . import numkit
-from .numkit import solve_symmetric, unit_diagonal_eigh
+from .numkit import unit_diagonal_eigh
+from .numkit import solve_symmetric  # perfbench's tracer patches it
 
 __all__ = ["SweepConfig", "train_lda", "train_chld", "train_rhld1",
            "train_rhld2"]
@@ -66,16 +68,6 @@ def _mean_difference(stats1: ClassStats, stats2: ClassStats) -> np.ndarray:
     return diff
 
 
-def _pooled_direction(pooled: np.ndarray, stats1: ClassStats,
-                      stats2: ClassStats) -> np.ndarray:
-    # solves pooled w = mean1 - mean2 for lda and gld's Fisher start
-    w = solve_symmetric(pooled, _mean_difference(stats1, stats2))
-    if not np.any(w):
-        raise ZeroDirection("mean difference is orthogonal to the pooled "
-                            "covariance range")
-    return w
-
-
 def train_lda(stats1: ClassStats, stats2: ClassStats, priors: Priors
               ) -> tuple[LinearDiscriminant, float, tuple[float, float]]:
     """Homoscedastic maximum-a-posteriori rule on the pooled covariance.
@@ -84,8 +76,8 @@ def train_lda(stats1: ClassStats, stats2: ClassStats, priors: Priors
     the normalization matters because the ln(tau) offset in the threshold
     is not scale-free. Returns (rule, error, (pi1, pi2)).
     """
-    w = _pooled_direction(priors.pi1 * stats1.cov + priors.pi2 * stats2.cov,
-                          stats1, stats2)
+    (t, _, _), b = _pooled_basis(stats1, stats2, priors)
+    w = t @ b
     w0 = math.log(priors.tau) + 0.5 * float((stats1.mean + stats2.mean) @ w)
     disc = LinearDiscriminant(w, w0)
     return (disc, bayes_error(project_stats(disc, stats1, stats2), priors),
@@ -97,7 +89,8 @@ def _blend_basis(stats1: ClassStats, stats2: ClassStats, priors: Priors
     """(T, lam, mu) with T' C1 T = diag(lam), T' C2 T = diag(mu) and
     pi1 lam + pi2 mu = 1: T whitens P = pi1 C1 + pi2 C2 on the span that
     numkit.unit_diagonal_eigh keeps, where every blend lives, and
-    diagonalizes C1 there. T T' is solve_symmetric's inverse of P."""
+    diagonalizes C1 there. T T' is the pseudo-inverse of P at unit
+    diagonal."""
     e, u = unit_diagonal_eigh(priors.pi1 * stats1.cov + priors.pi2 * stats2.cov)
     white = u[:, e > 0] / np.sqrt(e[e > 0])
     lam, v = np.linalg.eigh(white.T @ stats1.cov @ white)
@@ -105,10 +98,22 @@ def _blend_basis(stats1: ClassStats, stats2: ClassStats, priors: Priors
     return t, lam, np.einsum("ij,ik,kj->j", t, stats2.cov, t)
 
 
+def _pooled_basis(stats1: ClassStats, stats2: ClassStats, priors: Priors
+                  ) -> tuple[tuple, np.ndarray]:
+    """(_blend_basis, b) with b = T'(mean1 - mean2). As pi1 lam + pi2 mu
+    = 1, T b is the minimum-norm direction of the pooled blend."""
+    basis = _blend_basis(stats1, stats2, priors)
+    b = basis[0].T @ _mean_difference(stats1, stats2)
+    if not b.any():
+        raise ZeroDirection("mean difference is orthogonal to the pooled "
+                            "covariance range")
+    return basis, b
+
+
 def _blend_directions(b, lam, mu, s1, s2):
     """x with T x the minimum-norm solution of (s1 C1 + s2 C2) w = d, b =
     T' d, for each blend; an eigenvalue within numkit._SINGULAR_RTOL of
-    the blend's largest drops out, as in solve_symmetric."""
+    the blend's largest drops out, as unit_diagonal_eigh drops one of P."""
     eig = np.multiply.outer(s1, lam) + np.multiply.outer(s2, mu)
     size = np.abs(eig)
     cut = numkit._SINGULAR_RTOL * size.max(-1, keepdims=True, initial=0.0)

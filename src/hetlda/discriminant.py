@@ -50,8 +50,8 @@ def _integer(name: str, value) -> int:
 
 
 def _class_names(names, k: int, mismatch: type) -> tuple[str, ...]:
-    # ("0", ..., "k-1") for None, else a list or tuple of k str (a str
-    # would split into its characters); another count raises mismatch
+    # ("0", ..., "k-1") for None, else a list or tuple of k distinct str (a
+    # str would split into its characters); another count raises mismatch
     if names is None:
         return tuple(str(label) for label in range(k))
     if not (isinstance(names, (list, tuple))
@@ -59,6 +59,8 @@ def _class_names(names, k: int, mismatch: type) -> tuple[str, ...]:
         raise ValueError(f"class names {names!r} are not a list of strings")
     if len(names) != k:
         raise mismatch(f"{len(names)} class names for {k} classes")
+    if len(set(names)) != k:
+        raise ValueError(f"class names {names!r} are not distinct")
     return tuple(names)
 
 
@@ -159,15 +161,21 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class ClassStats:
-    """Per-class first and second moments plus bookkeeping."""
+    """Finite class moments (a d-vector mean, a d x d covariance), count."""
 
     mean: np.ndarray
     cov: np.ndarray
     count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", _readonly(np.asarray(self.mean, float)))
-        object.__setattr__(self, "cov", _readonly(np.asarray(self.cov, float)))
+        mean, cov = np.asarray(self.mean, float), np.asarray(self.cov, float)
+        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
+            raise DimensionMismatch(f"mean {mean.shape} and covariance "
+                                    f"{cov.shape} are not d and d x d")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("class mean and covariance must be finite")
+        object.__setattr__(self, "mean", _readonly(mean))
+        object.__setattr__(self, "cov", _readonly(cov))
 
 
 @dataclass(frozen=True)

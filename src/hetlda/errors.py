@@ -31,11 +31,6 @@ class ZeroDirection(HetldaError):
     """The solved weight vector is identically zero (equal class means)."""
 
 
-class SingularUpdate(HetldaError):
-    """The weight-update system is singular and even its minimum-norm
-    solution is the zero vector."""
-
-
 class ParseError(HetldaError):
     """A CSV cell failed to parse. Carries 1-based row/column location."""
 

@@ -16,19 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import (_blend_basis, _blend_directions, _blend_search,
-                        _mean_difference, _pooled_direction)
+from .baselines import _blend_directions, _blend_search, _pooled_basis
 from .discriminant import (ClassStats, LinearDiscriminant, Priors,
                            ProjectedStats, _check_variances, _gradient,
                            _integer, bayes_error)
-from .errors import (ComplexRoot, DegenerateProjection, SingularUpdate,
-                     ZeroDirection)
-from .numkit import solve_symmetric
+from .errors import ComplexRoot, DegenerateProjection
+from .numkit import solve_symmetric  # perfbench's tracer patches it
 
 __all__ = [
     "GldConfig", "GldIterate", "GldTrace", "threshold_roots",
-    "solve_threshold", "second_order_holds", "fisher_init", "update_weights",
-    "train_gld",
+    "solve_threshold", "second_order_holds", "train_gld",
 ]
 
 _SECOND_ORDER_TOL = 1e-12
@@ -153,22 +150,6 @@ def second_order_holds(proj: ProjectedStats) -> bool:
     return proj.z2 / proj.sigma2 >= proj.z1 / proj.sigma1 - _SECOND_ORDER_TOL
 
 
-def fisher_init(stats1: ClassStats, stats2: ClassStats) -> np.ndarray:
-    """Fisher direction: (n1 C1 + n2 C2) w = mean1 - mean2, solved densely."""
-    return _pooled_direction(
-        stats1.count * stats1.cov + stats2.count * stats2.cov, stats1, stats2)
-
-
-def update_weights(stats1: ClassStats, stats2: ClassStats,
-                   proj: ProjectedStats) -> np.ndarray:
-    """Direction refresh from the stationarity of the model error in w."""
-    m = (proj.z2 / proj.sigma2) * stats2.cov - (proj.z1 / proj.sigma1) * stats1.cov
-    w = solve_symmetric(m, stats1.mean - stats2.mean)
-    if not np.any(w):
-        raise SingularUpdate("update system maps the mean difference to zero")
-    return w
-
-
 def train_gld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
               config: GldConfig | None = None
               ) -> tuple[LinearDiscriminant, float, GldTrace]:
@@ -191,11 +172,8 @@ def train_gld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
     the first iterate raises.
     """
     cfg = config or GldConfig()
-    basis = t, lam, mu = _blend_basis(stats1, stats2, priors)
-    b = t.T @ _mean_difference(stats1, stats2)
-    if not b.any():
-        raise ZeroDirection("mean difference is orthogonal to the pooled "
-                            "covariance range")
+    basis, b = _pooled_basis(stats1, stats2, priors)
+    t, lam, mu = basis
     means = np.stack([stats1.mean, stats2.mean]) @ t
     spreads = np.stack([lam, mu])
     phi = np.arctan2(mu, lam)  # lam cos a + mu sin a > 0 within pi/2 of phi

@@ -5,12 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hetlda.baselines
-from hetlda import (ClassStats, DegenerateProjection, LabeledDataset,
-                    LinearDiscriminant, Priors, SweepConfig, ZeroDirection,
-                    bayes_error, compute_class_stats, d1_population,
-                    d2_population, decision_values, generate_d1, generate_d2,
-                    project_stats, solve_symmetric, train_chld, train_gld,
-                    train_lda, train_rhld1, train_rhld2)
+import hetlda.gld
+import hetlda.numkit
+from hetlda import (ClassStats, DegenerateProjection, DimensionMismatch,
+                    LabeledDataset, LinearDiscriminant, Priors, SweepConfig,
+                    ZeroDirection, bayes_error, compute_class_stats,
+                    d1_population, d2_population, decision_values,
+                    generate_d1, generate_d2, project_stats, solve_symmetric,
+                    train_chld, train_gld, train_lda, train_rhld1,
+                    train_rhld2)
 from hetlda.baselines import _blend_basis, _blend_directions
 
 from helpers import random_stats
@@ -255,14 +258,28 @@ class TestCommonGuarantees:
             fits += [search(s1, s2, priors, cfg)
                      for search in TRAINERS.values()]
             assert fits[0][2] == (priors.pi1, priors.pi2)
-            for k, (disc, _pe, (t1, t2)) in enumerate(fits):
+            for disc, _pe, (t1, t2) in fits:
                 w = solve_symmetric(t1 * s1.cov + t2 * s2.cov,
                                     s1.mean - s2.mean)
-                if k == 0:   # lda solves its blend itself
-                    assert np.array_equal(disc.w, w)
-                else:
-                    assert (np.linalg.norm(disc.w - w)
-                            <= 1e-12 * np.linalg.norm(w))
+                assert np.linalg.norm(disc.w - w) <= 1e-12 * np.linalg.norm(w)
+
+    def test_broken_moments_fail_clearly(self):
+        # a shape or a non-finite entry is refused where the moments are
+        # made, before any trainer mistakes it for a degenerate rule
+        good = ClassStats(np.zeros(4), np.eye(4), 10)
+        broken = [
+            (DimensionMismatch, lambda: ClassStats(np.ones(3), np.eye(4), 10)),
+            (DimensionMismatch, lambda: ClassStats(np.ones((1, 4)),
+                                                   np.eye(4), 10)),
+            (ValueError, lambda: ClassStats(np.ones(4),
+                                            np.full((4, 4), math.nan), 10)),
+            (ValueError, lambda: ClassStats(np.array([1.0, math.inf, 0, 0]),
+                                            np.eye(4), 10)),
+        ]
+        for error, make in broken:
+            for train in (train_lda, *TRAINERS.values(), train_gld):
+                with pytest.raises(error, match="d x d|finite"):
+                    train(make(), good, Priors(0.5, 0.5))
 
     def test_constant_feature_changes_no_rule(self):
         # the mean of a constant 0.1 is not 0.1, and the rounding left in
@@ -418,9 +435,10 @@ class TestBlendEngine:
 
     def count_solves(self, monkeypatch):
         calls = []
-        solve = hetlda.baselines.solve_symmetric
-        monkeypatch.setattr(hetlda.baselines, "solve_symmetric",
-                            lambda a, b: calls.append(1) or solve(a, b))
+        solve = hetlda.numkit.solve_symmetric
+        for module in (hetlda.numkit, hetlda.baselines, hetlda.gld):
+            monkeypatch.setattr(module, "solve_symmetric",
+                                lambda a, b: calls.append(1) or solve(a, b))
         return calls
 
     def test_matches_loop_on_random_stats(self):
@@ -445,9 +463,9 @@ class TestBlendEngine:
 
     def test_searches_make_no_dense_solve(self, monkeypatch):
         calls = self.count_solves(monkeypatch)
-        for method, trainer in TRAINERS.items():
+        for trainer in (train_lda, *TRAINERS.values(), train_gld):
             trainer(*d1_population())
-            assert not calls, method
+            assert not calls, trainer.__name__
 
     def test_singular_class2_covariance_needs_no_solve(self, monkeypatch):
         rng = np.random.default_rng(23)

@@ -10,10 +10,10 @@ from hetlda import (ClassStats, DegenerateProjection, DimensionMismatch,
                     EmptyClass, LabeledDataset, LinearDiscriminant, Priors,
                     ProjectedStats, bayes_error, classify, compute_class_stats,
                     decision_values, generate_d1, gradient_bayes_error,
-                    fisher_init, d1_population, d2_population,
-                    project_stats, training_error_count)
+                    d1_population, d2_population, project_stats,
+                    training_error_count)
 
-from helpers import random_stats
+from helpers import fisher_init, random_stats
 
 Q_AT_1 = 0.15865525393145707
 
@@ -64,6 +64,11 @@ class TestLabeledDataset:
                 LabeledDataset([[1.0], [2.0]], [0, 1], names)
         data = LabeledDataset([[1.0], [2.0]], [0, 1], ["a", "b"])
         assert data.class_names == ("a", "b")
+
+    def test_class_names_must_be_distinct(self):
+        # predictions and the accuracy line map each name to one class
+        with pytest.raises(ValueError, match="not distinct"):
+            LabeledDataset([[1.0], [2.0]], [0, 1], ("a", "a"))
 
     def test_subset_preserves_labels_and_names(self):
         data = LabeledDataset([[1.0], [2.0], [3.0]], [0, 1, 1], ("a", "b"))

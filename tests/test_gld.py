@@ -8,15 +8,16 @@ import hetlda.baselines
 import hetlda.gld
 from hetlda import (ClassStats, ComplexRoot, CvPlan, DegenerateProjection,
                     GldConfig, LabeledDataset, LinearDiscriminant, Priors,
-                    ProjectedStats, SingularUpdate, ZeroDirection,
-                    bayes_error, compute_class_stats, d1_population,
-                    d2_population, fisher_init, generate_d1, generate_d2,
-                    gradient_bayes_error, kfold_split, project_stats,
-                    second_order_holds, solve_threshold, threshold_roots,
-                    train_gld, train_lda, train_rhld1, update_weights)
+                    ProjectedStats, ZeroDirection, bayes_error,
+                    compute_class_stats, d1_population, d2_population,
+                    generate_d1, generate_d2, gradient_bayes_error,
+                    kfold_split, project_stats, second_order_holds,
+                    solve_threshold, threshold_roots, train_gld, train_lda,
+                    train_rhld1)
+from hetlda.baselines import _blend_basis, _blend_directions
 from hetlda.gld import _scan_thresholds
 
-from helpers import proj_for, random_stats
+from helpers import fisher_init, proj_for, random_stats, update_weights
 
 # Frozen from an independent oracle: 40-digit root find of the error
 # derivative pi1*phi(z1)/sigma1 - pi2*phi(z2)/sigma2, each root checked
@@ -157,30 +158,59 @@ class TestRootSelection:
             solve_threshold(math.nan, 0.0, 1.0, 1.0, 1.0)
 
 
+def lda_direction(s1, s2):
+    n = s1.count + s2.count
+    return train_lda(s1, s2, Priors(s1.count / n, s2.count / n))[0].w
+
+
 class TestFisherInit:
+    """train_lda's direction, the pooled blend's, against the dense
+    reference, which solves the same system scaled by n1 + n2."""
+
     def test_identity_scatter(self):
         s1 = ClassStats(np.array([1.0, 0.0]), np.eye(2), 1)
         s2 = ClassStats(np.array([-1.0, 0.0]), np.eye(2), 1)
-        assert_allclose(fisher_init(s1, s2), [1.0, 0.0])
+        assert_allclose(lda_direction(s1, s2), [2.0, 0.0])
+        assert_allclose(lda_direction(s1, s2), 2 * fisher_init(s1, s2))
 
     def test_diagonal_scatter(self):
         s1 = ClassStats(np.array([4.0, 2.0]), np.eye(2), 1)
         s2 = ClassStats(np.array([0.0, 0.0]), np.diag([3.0, 1.0]), 1)
-        assert_allclose(fisher_init(s1, s2), [1.0, 1.0])
+        assert_allclose(lda_direction(s1, s2), [2.0, 2.0])
+        assert_allclose(lda_direction(s1, s2), 2 * fisher_init(s1, s2))
 
     def test_equal_means(self):
         s1 = ClassStats(np.array([1.0]), np.array([[1.0]]), 5)
         s2 = ClassStats(np.array([1.0]), np.array([[2.0]]), 5)
         with pytest.raises(ZeroDirection):
-            fisher_init(s1, s2)
+            lda_direction(s1, s2)
+
+
+def in_basis_update(s1, s2, proj):
+    """gld's direction update as its loop takes it: T x for the blend
+    (-z1/sigma1, z2/sigma2) in the engine's basis."""
+    n = s1.count + s2.count
+    t, lam, mu = _blend_basis(s1, s2, Priors(s1.count / n, s2.count / n))
+    return t @ _blend_directions(t.T @ (s1.mean - s2.mean), lam, mu,
+                                 -proj.z1 / proj.sigma1,
+                                 proj.z2 / proj.sigma2)
 
 
 class TestUpdateWeights:
+    """The loop's in-basis update against the dense reference."""
+
+    @staticmethod
+    def assert_matches_dense(s1, s2, proj):
+        w = in_basis_update(s1, s2, proj)
+        dense = update_weights(s1, s2, proj)
+        assert np.linalg.norm(w - dense) <= 1e-12 * np.linalg.norm(dense)
+        return w
+
     def test_scalar_arithmetic(self):
         s1 = ClassStats(np.array([3.0]), np.array([[1.0]]), 5)
         s2 = ClassStats(np.array([0.0]), np.array([[4.0]]), 5)
         proj = ProjectedStats(3.0, 0.0, 1.0, 4.0, -1.0, 0.5)
-        assert_allclose(update_weights(s1, s2, proj), [1.5])
+        assert_allclose(self.assert_matches_dense(s1, s2, proj), [1.5])
 
     def test_homoscedastic_parallel_to_fisher(self):
         rng = np.random.default_rng(17)
@@ -189,7 +219,7 @@ class TestUpdateWeights:
         s1 = ClassStats(rng.normal(0, 1, 3), cov, 10)
         s2 = ClassStats(rng.normal(0, 1, 3), cov, 10)
         proj = ProjectedStats(1.0, -1.0, 2.0, 2.0, -0.5, 0.7)
-        w = update_weights(s1, s2, proj)
+        w = self.assert_matches_dense(s1, s2, proj)
         fisher = np.linalg.solve(cov, s1.mean - s2.mean)
         cosine = w @ fisher / (np.linalg.norm(w) * np.linalg.norm(fisher))
         assert_allclose(abs(cosine), 1.0, rtol=1e-10)
@@ -202,7 +232,7 @@ class TestUpdateWeights:
             proj = ProjectedStats(1.0, -1.0, 2.0, 3.0,
                                   float(rng.uniform(-2, -0.1)),
                                   float(rng.uniform(0.1, 2)))
-            w = update_weights(s1, s2, proj)
+            w = self.assert_matches_dense(s1, s2, proj)
             matrix = (proj.z2 / proj.sigma2) * s2.cov \
                 - (proj.z1 / proj.sigma1) * s1.cov
             diff = s1.mean - s2.mean
@@ -210,12 +240,13 @@ class TestUpdateWeights:
             assert residual <= 1e-8 * max(np.linalg.norm(diff), 1.0)
 
     def test_mean_difference_outside_the_range(self):
+        # the loop stops on "singular_update" when its update is all zero
         cov = np.diag([1.0, 0.0])
         s1 = ClassStats(np.array([0.0, 1.0]), cov, 5)
         s2 = ClassStats(np.array([0.0, 0.0]), cov, 5)
         proj = ProjectedStats(0.0, 0.0, 1.0, 4.0, -1.0, 0.5)
-        with pytest.raises(SingularUpdate):
-            update_weights(s1, s2, proj)
+        assert not in_basis_update(s1, s2, proj).any()
+        assert not update_weights(s1, s2, proj).any()
 
 
 class TestTrainGld:
@@ -322,8 +353,8 @@ class TestTrainGld:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(hetlda.gld, "_blend_basis",
-                            counted("basis", hetlda.gld._blend_basis))
+        monkeypatch.setattr(hetlda.baselines, "_blend_basis",
+                            counted("basis", hetlda.baselines._blend_basis))
         for module in (hetlda.gld, hetlda.baselines):
             monkeypatch.setattr(module, "solve_symmetric",
                                 counted("solve", module.solve_symmetric))
@@ -415,7 +446,7 @@ class TestCurveStart:
             (c, s), = scans
             assert c.shape == (17,)
             assert_allclose(s[0] / c[0], priors.pi2 / priors.pi1, rtol=1e-14)
-            _, lam, mu = hetlda.gld._blend_basis(s1, s2, priors)
+            _, lam, mu = _blend_basis(s1, s2, priors)
             assert (np.outer(c, lam) + np.outer(s, mu) > 0).all()
 
     def test_fisher_start_when_no_blend_has_a_real_threshold(self):

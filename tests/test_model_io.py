@@ -168,6 +168,16 @@ class TestFormatGuards:
             with pytest.raises(ParseError, match="malformed model file"):
                 load_model(str(broken))
 
+    def test_class_names_must_be_distinct(self, tmp_path):
+        model, _ = trained_model(seed=11, k=2)
+        path = tmp_path / "model.json"
+        save_model(str(path), model, "lda")
+        document = json.loads(path.read_text())
+        document["class_names"] = ["a", "a"]
+        path.write_text(json.dumps(document))
+        with pytest.raises(ParseError, match="not distinct"):
+            load_model(str(path))
+
     def test_weight_lengths_must_agree(self, tmp_path):
         model, _ = trained_model(seed=9, k=3)
         path = str(tmp_path / "model.json")
