@@ -438,7 +438,8 @@ def _run_fold(data: LabeledDataset, trainers: list[BinaryTrainer],
         return [_failed(trial, fold, exc)] * len(trainers)
     records = []
     for trainer in trainers:
-        # all rows in order keep the moments; perfbench opens a cell span here
+        # every row in order is train itself, with its moments and so the
+        # class-pair bases they key; perfbench opens a cell span at the call
         cell = train.subset(np.arange(train.n_samples)) if records else train
         try:
             start = time.perf_counter()

@@ -64,6 +64,12 @@ def _class_names(names, k: int, mismatch: type) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _ascending(idx: np.ndarray) -> bool:
+    # non-negative integer row indices in ascending order, none twice
+    return (idx.dtype.kind in "iu" and idx.ndim == 1 and idx.size > 0
+            and idx[0] >= 0 and bool(np.all(idx[1:] > idx[:-1])))
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Feature matrix with dense integer labels.
@@ -77,8 +83,8 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     class_names: tuple[str, ...] | None = None
-    # label -> (mean, cov, count) of each class whose moments
-    # compute_class_stats has computed on these rows; never an error
+    # label -> ClassStats of each class whose moments compute_class_stats
+    # has computed on these rows; never an error
     _moments: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -136,8 +142,14 @@ class LabeledDataset:
         """Row subset; labels keep their values, and class names are
         trimmed to the labels that remain representable (entries above
         the new max label drop off). A class whose rows the subset keeps
-        all of, in their order, keeps the moments cached for it here."""
+        all of, in their order, keeps the moments cached for it here.
+        Every row in order is the dataset itself (its names end at its
+        largest label, so none is trimmed): it cannot change, so a copy
+        would only cost time."""
         idx = np.asarray(indices)
+        if (idx.size == self.n_samples and _ascending(idx)
+                and idx[-1] == self.n_samples - 1):
+            return self
         # np.take gathers integer rows as indexing does, only faster; both
         # copy, so the new dataset may keep them without another copy
         rows = ((lambda a: np.take(a, idx, axis=0)) if idx.dtype.kind in "iu"
@@ -148,20 +160,20 @@ class LabeledDataset:
         # initial=-1: an empty subset still fails the "no rows" check
         top = int(labels.max(initial=-1))
         sub = LabeledDataset(features, labels, self.class_names[:top + 1])
-        if (self._moments and idx.dtype.kind in "iu" and idx[0] >= 0
-                and np.all(idx[1:] > idx[:-1])):
-            # rows in ascending order, none twice: a class with as many
-            # rows here as in self has them all, in the same order
+        if self._moments and _ascending(idx):
+            # a class with as many rows here as in self has them all, in
+            # the same order
             counts = np.bincount(labels, minlength=top + 1)
             sub._moments.update(
-                (label, entry) for label, entry in self._moments.items()
-                if label <= top and counts[label] == entry[2])
+                (label, stats) for label, stats in self._moments.items()
+                if label <= top and counts[label] == stats.count)
         return sub
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassStats:
-    """Finite class moments (a d-vector mean, a d x d covariance), count."""
+    """Finite class moments (a d-vector mean, a d x d covariance), count.
+    Two ClassStats are equal only when they are the same object."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -239,16 +251,16 @@ def compute_class_stats(data: LabeledDataset, class_a: int,
     square raise DegenerateProjection, since no projection of an infinite
     covariance has a finite spread. Moments are computed once per dataset.
     """
-    (m1, c1, n1), (m2, c2, n2) = (_class_moments(data, label)
-                                  for label in (class_a, class_b))
-    priors = Priors(n1 / (n1 + n2), n2 / (n1 + n2))
-    return ClassStats(m1, c1, n1), ClassStats(m2, c2, n2), priors
+    stats1, stats2 = (_class_stats(data, label)
+                      for label in (class_a, class_b))
+    n1, n2 = stats1.count, stats2.count
+    return stats1, stats2, Priors(n1 / (n1 + n2), n2 / (n1 + n2))
 
 
-def _class_moments(data: LabeledDataset,
-                   label: int) -> tuple[np.ndarray, np.ndarray, int]:
-    # (mean, cov, count) of one class, from data's cache or computed and
-    # cached; the arrays are read-only, so ClassStats keeps them uncopied
+def _class_stats(data: LabeledDataset, label: int) -> ClassStats:
+    # the moments of one class, from data's cache or computed and cached,
+    # so every caller on data gets the same ClassStats object; the arrays
+    # are read-only, so ClassStats keeps them uncopied
     cached = data._moments.get(label)
     if cached is not None:
         return cached
@@ -274,7 +286,7 @@ def _class_moments(data: LabeledDataset,
             "is not finite")
     m.setflags(write=False)
     cov.setflags(write=False)
-    data._moments[label] = cached = (m, cov, idx.size)
+    data._moments[label] = cached = ClassStats(m, cov, idx.size)
     return cached
 
 
@@ -283,7 +295,7 @@ def _fill_moments(data: LabeledDataset) -> None:
     that raises is left out, so the call that needs it raises again."""
     for label in range(data.n_classes):
         try:
-            _class_moments(data, label)
+            _class_stats(data, label)
         except (EmptyClass, DegenerateProjection):
             pass
 

@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 
-from hetlda import ClassStats, Priors, ProjectedStats, solve_symmetric
+from hetlda import (ClassStats, DegenerateProjection, LinearDiscriminant,
+                    Priors, ProjectedStats, solve_symmetric)
+from hetlda.baselines import _blend_basis, _mean_difference, _q
+from hetlda.discriminant import _MIN_PROJECTED_VARIANCE
+from hetlda.numkit import _SINGULAR_RTOL
 
 
 def proj_for(mu1, mu2, var1, var2, w0):
@@ -37,3 +41,36 @@ def update_weights(stats1, stats2, proj):
     m = ((proj.z2 / proj.sigma2) * stats2.cov
          - (proj.z1 / proj.sigma1) * stats1.cov)
     return solve_symmetric(m, stats1.mean - stats2.mean)
+
+
+def row_major_directions(b, lam, mu, s1, s2):
+    """Reference for the engine's directions, one row per blend: b / eig
+    where the blend's eigenvalue is above _SINGULAR_RTOL of its largest,
+    0 elsewhere (NaN eigenvalues included)."""
+    eig = np.multiply.outer(s1, lam) + np.multiply.outer(s2, mu)
+    size = np.abs(eig)
+    cut = _SINGULAR_RTOL * size.max(-1, keepdims=True, initial=0.0)
+    return np.divide(b, eig, out=np.zeros(eig.shape), where=size > cut)
+
+
+def exact_blend_search(stats1, stats2, priors, s1, s2, threshold,
+                       basis=None):
+    """Reference for the blend engine's scoring: every candidate scored
+    with math.erfc, then the first smallest; returns the engine's
+    (rule, p_e, (s1, s2)) and the winner's index."""
+    diff = _mean_difference(stats1, stats2)
+    t, lam, mu = basis or _blend_basis(stats1, stats2, priors)
+    x = row_major_directions(t.T @ diff, lam, mu, s1, s2)
+    mu1, mu2 = x @ (t.T @ stats1.mean), x @ (t.T @ stats2.mean)
+    var1, var2 = (x * x) @ lam, (x * x) @ mu
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w0 = threshold(s1, s2, mu1, mu2, var1, var2)
+        pe = (priors.pi1 * _q((mu1 - w0) / np.sqrt(var1))
+              + priors.pi2 * _q((w0 - mu2) / np.sqrt(var2)))
+    usable = (np.isfinite(w0 + var1 + var2)
+              & (np.minimum(var1, var2) > _MIN_PROJECTED_VARIANCE))
+    if not np.any(usable):
+        raise DegenerateProjection("no blend candidate produced a usable rule")
+    i = int(np.argmin(np.where(usable, pe, np.inf)))
+    return (LinearDiscriminant(t @ x[i], w0[i]), float(pe[i]),
+            (float(s1[i]), float(s2[i])), i)

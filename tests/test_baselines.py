@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,16 +9,20 @@ from numpy.testing import assert_allclose
 import hetlda.baselines
 import hetlda.gld
 import hetlda.numkit
-from hetlda import (ClassStats, DegenerateProjection, DimensionMismatch,
-                    LabeledDataset, LinearDiscriminant, Priors, SweepConfig,
+from hetlda import (ClassStats, CvPlan, DegenerateProjection,
+                    DimensionMismatch, LabeledDataset, LinearDiscriminant, Priors, SweepConfig,
                     ZeroDirection, bayes_error, compute_class_stats,
                     d1_population, d2_population, decision_values,
                     generate_d1, generate_d2, project_stats, solve_symmetric,
                     train_chld, train_gld, train_lda, train_rhld1,
-                    train_rhld2)
-from hetlda.baselines import _blend_basis, _blend_directions
+                    train_rhld2, make_trainer, run_benchmark)
+from hetlda.baselines import (_SCREEN_FLOOR, _SCREEN_MARGIN, _SCREEN_MIN,
+                              _TAIL_HI, _TAIL_RTOL, _blend_basis,
+                              _blend_directions, _blend_search,
+                              _midpoint_threshold, _rough_q,
+                              _screened_argmin, _weighted_threshold)
 
-from helpers import random_stats
+from helpers import exact_blend_search, random_stats, row_major_directions
 
 Q_AT_1 = 0.15865525393145707
 
@@ -106,10 +112,11 @@ class TestTrainChld:
             grids.append((list(s1), list(s2)))
             return search(stats1, stats2, priors, s1, s2, *rest)
 
-        # every candidate scores the same
+        # every candidate scores the same, in the screen and exactly
         monkeypatch.setattr(hetlda.baselines, "_blend_search", recording)
-        monkeypatch.setattr(hetlda.baselines, "_q",
-                            lambda z: np.full(np.shape(z), 0.3))
+        for tail in ("_q", "_rough_q"):
+            monkeypatch.setattr(hetlda.baselines, tail,
+                                lambda z: np.full(np.shape(z), 0.3))
         s1, s2, priors = balanced([1.0], [[1.0]], [-1.0], [[4.0]])
         _, pe, info = train_chld(s1, s2, priors, SweepConfig(step=0.5))
         assert grids[0] == ([0.0, 0.5, 1.0], [1.0, 0.5, 0.0])
@@ -493,3 +500,300 @@ class TestBlendEngine:
         assert info[1] == 2.0 and not calls
         assert disc.w[0] == 0.0 and disc.w[1] != 0.0
         self.assert_matches_loop(s1, s2, priors, cfg, methods=["rhld1"])
+
+
+class TestScreenedScoring:
+    # the engine screens candidates with a tabulated tail and scores the
+    # rest with math.erfc; every result must be bit for bit that of
+    # scoring every candidate exactly (helpers.exact_blend_search)
+    def checked(self, monkeypatch):
+        winners = []
+
+        def checking(*args):
+            try:
+                ref_disc, ref_pe, ref_blend, i = exact_blend_search(*args)
+            except DegenerateProjection:
+                with pytest.raises(DegenerateProjection, match="no blend"):
+                    _blend_search(*args)
+                raise
+            disc, pe, blend = _blend_search(*args)
+            assert blend == ref_blend == (float(args[3][i]),
+                                          float(args[4][i]))
+            assert disc.w.tobytes() == ref_disc.w.tobytes()
+            assert np.float64([disc.w0, pe]).tobytes() == \
+                np.float64([ref_disc.w0, ref_pe]).tobytes()
+            winners.append((i, pe))
+            return disc, pe, blend
+
+        for module in (hetlda.baselines, hetlda.gld):
+            monkeypatch.setattr(module, "_blend_search", checking)
+        return winners
+
+    def run_all(self, stats1, stats2, priors):
+        for train in (*TRAINERS.values(), train_gld):
+            try:
+                train(stats1, stats2, priors)
+            except DegenerateProjection:
+                pass
+
+    def test_random_problems(self, monkeypatch):
+        winners = self.checked(monkeypatch)
+        rng = np.random.default_rng(41)
+        for d in range(1, 9):
+            for _ in range(3):
+                self.run_all(*random_stats(rng, d))
+        for d in range(2, 9):
+            # a zero row and column shared by both covariances
+            s1, s2, priors = random_stats(rng, d)
+            keep = np.arange(d) != rng.integers(d)
+            self.run_all(*(ClassStats(s.mean, s.cov * np.outer(keep, keep),
+                                      s.count) for s in (s1, s2)), priors)
+        assert len(winners) == 4 * (8 * 3 + 7)
+
+    def test_far_apart_classes(self, monkeypatch):
+        # winners from 1e-6 down past the floor to an error of exactly 0
+        winners = self.checked(monkeypatch)
+        for gap in (10.0, 60.0, 70.0, 71.0, 72.0, 74.0, 76.0, 80.0, 1e3):
+            self.run_all(*balanced([gap / 2, 0.0], [[1.0, 0.2], [0.2, 2.0]],
+                                   [-gap / 2, 0.0], [[1.5, 0.0], [0.0, 1.0]]))
+        errors = [pe for _, pe in winners]
+        assert any(0.0 < pe < _SCREEN_FLOOR for pe in errors)
+        assert any(_SCREEN_FLOOR < pe < 1e-250 for pe in errors)
+        assert 0.0 in errors
+
+    @pytest.mark.parametrize("screen_min", [1, _SCREEN_MIN])
+    @pytest.mark.parametrize("gap, spread", [(0.5, 0.01), (1.0, 0.1),
+                                             (3.0, 10.0), (0.5, 100.0)])
+    def test_gld_scan_with_nan_thresholds(self, monkeypatch, gap, spread,
+                                          screen_min):
+        # crossing covariances: some scanned blends have no real
+        # threshold, and the scan gives them NaN; its 17 candidates are
+        # scored exactly unless the screen is forced on
+        winners = self.checked(monkeypatch)
+        monkeypatch.setattr(hetlda.baselines, "_SCREEN_MIN", screen_min)
+        nan_counts = []
+        search = hetlda.gld._blend_search
+
+        def counting(s1, s2, priors, a, b, threshold, basis):
+            def counted(*args):
+                w0 = threshold(*args)
+                nan_counts.append(int(np.isnan(w0).sum()))
+                return w0
+            return search(s1, s2, priors, a, b, counted, basis)
+
+        monkeypatch.setattr(hetlda.gld, "_blend_search", counting)
+        s1 = ClassStats(np.array([gap, 0.0]), np.diag([1.0, spread]), 100)
+        s2 = ClassStats(np.array([0.0, gap]), np.diag([spread, 1.0]), 1000)
+        train_gld(s1, s2, Priors(100 / 1100, 1000 / 1100))
+        assert len(winners) == 1 and 0 < nan_counts[0] < 17
+
+    def test_exact_ties_keep_the_first(self, monkeypatch):
+        # scaling a blend by 2 halves its direction, means, variance
+        # terms and threshold exactly, so every z, and every error, ties
+        s1, s2, priors = d1_population()
+        scale = 2.0 ** (np.arange(_SCREEN_MIN) % 7 - 3)
+        for order in (scale, scale[::-1]):
+            disc, pe, blend = _blend_search(s1, s2, priors, 0.3 * order,
+                                            0.9 * order, _midpoint_threshold)
+            ref = exact_blend_search(s1, s2, priors, 0.3 * order,
+                                     0.9 * order, _midpoint_threshold)
+            assert ref[3] == 0 and blend == (0.3 * order[0], 0.9 * order[0])
+            assert (disc.w.tobytes(), disc.w0, pe) == (
+                ref[0].w.tobytes(), ref[0].w0, ref[1])
+        # a whole grid tied through both tails keeps its first candidate
+        monkeypatch.setattr(hetlda.baselines, "_q",
+                            lambda z: np.full(np.shape(z), 0.25))
+        monkeypatch.setattr(hetlda.baselines, "_rough_q",
+                            lambda z: np.full(np.shape(z), 0.25))
+        s = np.linspace(0.0, 1.0, _SCREEN_MIN + 1)
+        assert _blend_search(s1, s2, priors, s, 1.0 - s,
+                             _weighted_threshold)[2] == (0.0, 1.0)
+
+    @pytest.mark.parametrize("count", [4, _SCREEN_MIN, 1000])
+    def test_single_usable_candidate(self, count):
+        # the blend (0, 0) has no direction, so only index 2 is usable
+        s1, s2, priors = d2_population()
+        a, b = np.zeros(count), np.zeros(count)
+        a[2], b[2] = 0.4, 0.6
+        disc, pe, blend = _blend_search(s1, s2, priors, a, b,
+                                        _weighted_threshold)
+        ref = exact_blend_search(s1, s2, priors, a, b, _weighted_threshold)
+        assert ref[3] == 2 and blend == (0.4, 0.6)
+        assert (disc.w.tobytes(), disc.w0, pe) == (
+            ref[0].w.tobytes(), ref[0].w0, ref[1])
+
+    def test_directions_match_row_major_bytes(self):
+        # the engine builds its directions eigenvalue-major; the bytes,
+        # the (candidates, d) shape and the C layout are those of the
+        # row-per-blend division, so every matvec after it rounds alike
+        rng = np.random.default_rng(43)
+        cases = [d1_population(), d2_population()]
+        cases += [random_stats(rng, d) for d in (1, 3, 6)]
+        for stats1, stats2, priors in cases:
+            t, lam, mu = _blend_basis(stats1, stats2, priors)
+            b = t.T @ (stats1.mean - stats2.mean)
+            s = rng.uniform(-2.0, 3.0, (2, 500))
+            # exactly singular blends: lam_j s1 + mu_j s2 = 0
+            s[:, :len(lam)] = np.array([mu, -lam])
+            s[:, -1] = (0.0, 0.0)
+            x = _blend_directions(b, lam, mu, s[0], s[1])
+            ref = row_major_directions(b, lam, mu, s[0], s[1])
+            assert x.shape == ref.shape and x.flags.c_contiguous
+            assert x.tobytes() == ref.tobytes()
+            for a, c in s.T[:5].tolist():
+                one = _blend_directions(b, lam, mu, a, c)
+                assert one.shape == b.shape
+                assert one.tobytes() == row_major_directions(
+                    b, lam, mu, a, c).tobytes()
+            # blends too large to form: a NaN eigenvalue zeroes its blend
+            big = np.array([[np.inf, 1.0, 1e308], [-np.inf, np.inf, 1e308]])
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = _blend_directions(b, lam, mu, big[0], big[1])
+                ref = row_major_directions(b, lam, mu, big[0], big[1])
+            assert x.tobytes() == ref.tobytes()
+
+    def test_a_search_scores_few_candidates_exactly(self, monkeypatch):
+        scored = []
+        q = hetlda.baselines._q
+        monkeypatch.setattr(hetlda.baselines, "_q",
+                            lambda z: scored.append(z.size) or q(z))
+        _rough_q(np.zeros(1))  # builds the table with _q before counting
+        for stats in (d1_population(), d2_population()):
+            for train in TRAINERS.values():
+                scored.clear()
+                train(*stats)
+                assert 2 <= sum(scored) <= 2 * 50, train.__name__
+
+    def test_rough_tail_bound(self):
+        exact = np.frompyfunc(lambda z: 0.5 * math.erfc(z / math.sqrt(2.0)),
+                              1, 1)
+        z = np.concatenate([np.linspace(-45.0, 40.0, 85 * 640 + 1),
+                            np.random.default_rng(47).uniform(-12, 39, 20000),
+                            _TAIL_HI + np.array([-1e-9, 0.0, 1e-9])])
+        q, rough = exact(z).astype(float), _rough_q(z)
+        above = q > _SCREEN_FLOOR
+        assert above.sum() > 50000
+        # never high, low by at most _TAIL_RTOL above the floor; beyond
+        # _TAIL_HI it reads Q(_TAIL_HI), far below the floor
+        q_top = 0.5 * math.erfc(_TAIL_HI / math.sqrt(2.0))
+        assert q_top < 1e-20 * _SCREEN_FLOOR
+        assert np.all(np.abs(rough[above] - q[above])
+                      <= _TAIL_RTOL * q[above])
+        assert np.all(rough <= (q + q_top) * (1.0 + 1e-12))
+        low, high = _rough_q(np.array([-np.inf, np.inf]))
+        assert low == 1.0 and 0.0 < high <= q_top * (1.0 + 1e-12)
+        # the screen's margin covers the bound on both sides
+        assert _SCREEN_MARGIN > 2.0 * _TAIL_RTOL
+
+    def test_nan_scores_always_reach_exact_scoring(self, monkeypatch):
+        # a usable candidate with a NaN z wins np.argmin, so it must
+        # never be screened out, whatever the others score
+        seen = []
+        q = hetlda.baselines._q
+        monkeypatch.setattr(hetlda.baselines, "_q",
+                            lambda z: seen.append(z.copy()) or q(z))
+        priors = Priors(0.3, 0.7)
+        rng = np.random.default_rng(53)
+        za = rng.uniform(-1.0, 40.0, _SCREEN_MIN)
+        zb = rng.uniform(-1.0, 40.0, _SCREEN_MIN)
+        za[[20, 90]] = zb[[50, 100]] = math.nan
+        za[7], zb[7] = 39.0, 39.0  # p_e 0 beside the NaNs
+        _rough_q(np.zeros(1))  # builds the table with _q before counting
+        for unusable in ([], [20], [20, 50], [20, 50, 90, 100]):
+            usable = np.ones(_SCREEN_MIN, dtype=bool)
+            usable[unusable] = False
+            seen.clear()
+            i, pe = _screened_argmin(priors, za, zb, usable)
+            exact = np.where(usable, priors.pi1 * q(za) + priors.pi2 * q(zb),
+                             np.inf)
+            assert i == int(np.argmin(exact))
+            if len(unusable) < 4:
+                # a usable NaN wins and sends every usable candidate to
+                # math.erfc
+                assert math.isnan(pe) and i == min({20, 50, 90, 100}
+                                                   - set(unusable))
+                assert sum(z.size for z in seen) == 2 * usable.sum()
+            else:
+                assert (i, pe) == (7, 0.0)
+                assert sum(z.size for z in seen) < 2 * usable.sum()
+
+
+class TestBasisCache:
+    def count_builds(self, monkeypatch):
+        # each build of a basis makes one unit_diagonal_eigh call
+        builds = []
+        eigh = hetlda.baselines.unit_diagonal_eigh
+        monkeypatch.setattr(hetlda.baselines, "unit_diagonal_eigh",
+                            lambda a: builds.append(a) or eigh(a))
+        return builds
+
+    def test_one_basis_per_pair_per_fold(self, monkeypatch):
+        # every method of a fold gets the fold's ClassStats objects, so
+        # the five Gaussian trainers build the pair's basis once
+        builds = self.count_builds(monkeypatch)
+        data = generate_d2(0).subset(np.arange(0, 6000, 10))
+        names = ("lda", "chld", "rhld1", "rhld2", "gld")
+        report = run_benchmark(data, [(m, make_trainer(m)) for m in names],
+                               CvPlan(folds=3, trials=1))
+        assert sum(m.failures for m in report.methods) == 0
+        assert len(builds) == 3
+
+    def test_cached_basis_is_shared_read_only(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        s1, s2, priors = d1_population()
+        basis = _blend_basis(s1, s2, priors)
+        assert all(not a.flags.writeable for a in basis)
+        again = _blend_basis(s1, s2, Priors(priors.pi1, priors.pi2))
+        assert all(a is b for a, b in zip(basis, again))
+        assert len(builds) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            basis[1][0] = 0.0
+
+    def test_new_priors_or_new_stats_recompute(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        s1, s2, priors = d1_population()
+        t = _blend_basis(s1, s2, priors)[0]
+        other = _blend_basis(s1, s2, Priors(0.5, 0.5))[0]
+        # equal moments in new objects are new statistics to the cache
+        fresh = [ClassStats(s.mean.copy(), s.cov.copy(), s.count)
+                 for s in (s1, s2)]
+        rebuilt = _blend_basis(*fresh, priors)[0]
+        swapped = _blend_basis(s2, s1, priors)[0]
+        assert len(builds) == 4
+        assert not np.array_equal(t, other)
+        assert rebuilt is not t and rebuilt.tobytes() == t.tobytes()
+        assert swapped.shape == t.shape
+
+    def test_threads_share_the_cache_safely(self):
+        # more threads than cores, switching often, on a few pairs: every
+        # result must be its pair's basis, whoever built it
+        problems = [random_stats(np.random.default_rng(k), 4)
+                    for k in range(3)]
+        expected = [[a.tobytes() for a in _blend_basis.__wrapped__(*stats)]
+                    for stats in problems]
+        wrong = []
+
+        def work(k):
+            for j in range(300):
+                stats = problems[(k + j) % 3]
+                if j % 7 == 0:  # fresh objects keep entries churning
+                    stats = (ClassStats(stats[0].mean, stats[0].cov, 9),
+                             ClassStats(stats[1].mean, stats[1].cov, 9),
+                             stats[2])
+                got = [a.tobytes() for a in _blend_basis(*stats)]
+                if got != expected[(k + j) % 3]:
+                    wrong.append((k, j))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []

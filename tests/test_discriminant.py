@@ -96,6 +96,17 @@ class TestLabeledDataset:
         with pytest.raises(IndexError, match=re.escape(str(expected.value))):
             data.subset(indices)
 
+    def test_subset_of_every_row_is_the_dataset(self):
+        data = LabeledDataset(np.arange(8.0).reshape(4, 2), [0, 1, 1, 0])
+        for indices in (np.arange(4), range(4), np.arange(4, dtype=np.uint8)):
+            assert data.subset(indices) is data
+        # names end at the largest label, so every row keeps them all
+        with pytest.raises(DimensionMismatch, match="3 class names"):
+            LabeledDataset(data.features, data.labels, ("a", "b", "c"))
+        for indices in ([0, 1, 2], [1, 0, 2, 3], [0, 1, 2, 3, 3],
+                        [-4, -3, -2, -1], np.ones(4, dtype=bool)):
+            assert data.subset(indices) is not data
+
     def test_subset_trims_names_when_top_label_drops(self):
         data = LabeledDataset([[1.0], [2.0], [3.0]], [0, 1, 2],
                               ("a", "b", "c"))
