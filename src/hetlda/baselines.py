@@ -209,17 +209,17 @@ def _blend_directions(b, lam, mu, s1, s2):
 
 
 def _blend_search(stats1: ClassStats, stats2: ClassStats, priors: Priors,
-                  s1: np.ndarray, s2: np.ndarray, threshold, basis=None
+                  s1: np.ndarray, s2: np.ndarray, threshold
                   ) -> tuple[LinearDiscriminant, float, tuple[float, float]]:
     """Best rule over the blends s1[i] C1 + s2[i] C2, ties to the first
     candidate; returns (rule, error, (s1[i], s2[i])). Each candidate costs
-    O(d) in the basis of _blend_basis (or the one given), and the winner
-    is returned as scored, T x[i] with its threshold and error. A long
-    search screens its candidates with _rough_q and scores with
-    math.erfc only the few that may win (_screened_argmin), so the
-    result is that of exact scoring of every candidate."""
+    O(d) in the basis of _blend_basis, and the winner is returned as
+    scored, T x[i] with its threshold and error. A long search screens
+    its candidates with _rough_q and scores with math.erfc only the few
+    that may win (_screened_argmin), so the result is that of exact
+    scoring of every candidate."""
     diff = _mean_difference(stats1, stats2)
-    t, lam, mu = basis or _blend_basis(stats1, stats2, priors)
+    t, lam, mu = _blend_basis(stats1, stats2, priors)
     x = _blend_directions(t.T @ diff, lam, mu, s1, s2)
     mu1, mu2 = x @ (t.T @ stats1.mean), x @ (t.T @ stats2.mean)
     var1, var2 = (x * x) @ lam, (x * x) @ mu

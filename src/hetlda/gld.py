@@ -3,11 +3,13 @@
 Every stationary direction of the model error solves a blend
 [s1 C1 + s2 C2] w = mean1 - mean2 (Anderson & Bahadur 1962), at O(d) in
 the blend engine's basis. The trainer starts from the best of a scan of
-those blends and alternates two exact steps: given w, the threshold w0
-solves a quadratic stationarity condition in closed form, and of its two
-roots only the one with the positive square root satisfies the
-second-order condition z2/sigma2 >= z1/sigma1; given (w, w0), w is the
-blend (s1, s2) = (-z1/sigma1, z2/sigma2). The best iterate is returned.
+those blends, each scored as its Anderson-Bahadur rule with rhld2's
+threshold mu1 - s1 var1 = mu2 + s2 var2, and alternates two exact
+steps: given w, the threshold w0 solves a quadratic stationarity
+condition in closed form, and of its two roots only the one with the
+positive square root satisfies the second-order condition
+z2/sigma2 >= z1/sigma1; given (w, w0), w is the blend
+(s1, s2) = (-z1/sigma1, z2/sigma2). The best iterate is returned.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import _blend_directions, _blend_search, _pooled_basis
+from .baselines import (_blend_directions, _blend_search,
+                        _midpoint_threshold, _pooled_basis)
 from .discriminant import (ClassStats, LinearDiscriminant, Priors,
                            ProjectedStats, _check_variances, _gradient,
                            _integer, bayes_error)
@@ -132,18 +135,6 @@ def solve_threshold(mu1: float, mu2: float, var1: float, var2: float,
     return 0.5 * (mu1 + mu2) + var * math.log(tau) / (mu1 - mu2)
 
 
-def _scan_thresholds(tau, *moments):
-    """solve_threshold for each candidate of the arrays (mu1, mu2, var1,
-    var2); NaN where it finds no real root or a variance is not positive."""
-    w0 = []
-    for candidate in zip(*(m.tolist() for m in moments)):
-        try:
-            w0.append(solve_threshold(*candidate, tau))
-        except (ComplexRoot, ValueError):
-            w0.append(math.nan)
-    return np.array(w0)
-
-
 def second_order_holds(proj: ProjectedStats) -> bool:
     """Local-minimum test for a stationary threshold:
     z2/sigma2 >= z1/sigma1 (up to 1e-12)."""
@@ -157,8 +148,9 @@ def train_gld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
 
     Starts from the best of the Fisher blend (pi1, pi2) and _SCAN_POINTS
     blends (cos a, sin a) evenly inside the arc where the blend is
-    positive definite, each at solve_threshold's threshold; from the
-    Fisher direction if none of them has a real threshold. Records every
+    positive definite, each scored as its Anderson-Bahadur rule with
+    rhld2's threshold mu1 - s1 var1 = mu2 + s2 var2; the first iterate
+    re-thresholds the winner with solve_threshold. Records every
     iterate as a unit-length rule (at most max_iters+1 of them) and
     returns the iterate with the smallest model error together with the
     full trace. converged_by names what ended the loop: "gradient" (the
@@ -172,8 +164,7 @@ def train_gld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
     the first iterate raises.
     """
     cfg = config or GldConfig()
-    basis, b = _pooled_basis(stats1, stats2, priors)
-    t, lam, mu = basis
+    (t, lam, mu), b = _pooled_basis(stats1, stats2, priors)
     means = np.stack([stats1.mean, stats2.mean]) @ t
     spreads = np.stack([lam, mu])
     phi = np.arctan2(mu, lam)  # lam cos a + mu sin a > 0 within pi/2 of phi
@@ -181,11 +172,9 @@ def train_gld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
                       _SCAN_POINTS + 2)[1:-1]
     angles = np.append(math.atan2(priors.pi2, priors.pi1), arc)
     try:
-        _, _, blend = _blend_search(
-            stats1, stats2, priors, np.cos(angles), np.sin(angles),
-            lambda _s1, _s2, *moments: _scan_thresholds(priors.tau, *moments),
-            basis)
-    except DegenerateProjection:  # no scanned blend has a real threshold
+        _, _, blend = _blend_search(stats1, stats2, priors, np.cos(angles),
+                                    np.sin(angles), _midpoint_threshold)
+    except DegenerateProjection:  # every scanned blend's variance vanished
         x = b  # Fisher's direction, as pi1 lam + pi2 mu = 1
     else:
         x = _blend_directions(b, lam, mu, *blend)
@@ -229,7 +218,6 @@ def train_gld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
             converged_by = "gradient"
             break
         if iteration == cfg.max_iters:
-            converged_by = "max_iters"
             break
         x = _blend_directions(b, lam, mu, -proj.z1 / proj.sigma1,
                               proj.z2 / proj.sigma2)

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 
-from hetlda import (ClassStats, DegenerateProjection, LinearDiscriminant,
-                    Priors, ProjectedStats, solve_symmetric)
+from hetlda import (ClassStats, ComplexRoot, DegenerateProjection,
+                    LinearDiscriminant, Priors, ProjectedStats,
+                    solve_symmetric, solve_threshold)
 from hetlda.baselines import _blend_basis, _mean_difference, _q
 from hetlda.discriminant import _MIN_PROJECTED_VARIANCE
 from hetlda.numkit import _SINGULAR_RTOL
@@ -53,13 +54,25 @@ def row_major_directions(b, lam, mu, s1, s2):
     return np.divide(b, eig, out=np.zeros(eig.shape), where=size > cut)
 
 
-def exact_blend_search(stats1, stats2, priors, s1, s2, threshold,
-                       basis=None):
+def root_thresholds(tau, _s1, _s2, mu1, mu2, var1, var2):
+    """A threshold callback for the blend engine: solve_threshold for each
+    candidate, NaN where it finds no real root or a variance is not
+    positive."""
+    w0 = []
+    for candidate in zip(*(m.tolist() for m in (mu1, mu2, var1, var2))):
+        try:
+            w0.append(solve_threshold(*candidate, tau))
+        except (ComplexRoot, ValueError):
+            w0.append(math.nan)
+    return np.array(w0)
+
+
+def exact_blend_search(stats1, stats2, priors, s1, s2, threshold):
     """Reference for the blend engine's scoring: every candidate scored
     with math.erfc, then the first smallest; returns the engine's
     (rule, p_e, (s1, s2)) and the winner's index."""
     diff = _mean_difference(stats1, stats2)
-    t, lam, mu = basis or _blend_basis(stats1, stats2, priors)
+    t, lam, mu = _blend_basis(stats1, stats2, priors)
     x = row_major_directions(t.T @ diff, lam, mu, s1, s2)
     mu1, mu2 = x @ (t.T @ stats1.mean), x @ (t.T @ stats2.mean)
     var1, var2 = (x * x) @ lam, (x * x) @ mu

@@ -22,7 +22,8 @@ from hetlda.baselines import (_SCREEN_FLOOR, _SCREEN_MARGIN, _SCREEN_MIN,
                               _midpoint_threshold, _rough_q,
                               _screened_argmin, _weighted_threshold)
 
-from helpers import exact_blend_search, random_stats, row_major_directions
+from helpers import (exact_blend_search, random_stats, root_thresholds,
+                     row_major_directions)
 
 Q_AT_1 = 0.15865525393145707
 
@@ -566,25 +567,25 @@ class TestScreenedScoring:
                                              (3.0, 10.0), (0.5, 100.0)])
     def test_gld_scan_with_nan_thresholds(self, monkeypatch, gap, spread,
                                           screen_min):
-        # crossing covariances: some scanned blends have no real
-        # threshold, and the scan gives them NaN; its 17 candidates are
-        # scored exactly unless the screen is forced on
+        # crossing covariances: 17 blends inside the quarter arc, as many
+        # as gld's start scan, thresholded at solve_threshold's root,
+        # which some of them lack, so the callback gives them NaN; they
+        # are scored exactly unless the screen is forced on
         winners = self.checked(monkeypatch)
         monkeypatch.setattr(hetlda.baselines, "_SCREEN_MIN", screen_min)
-        nan_counts = []
-        search = hetlda.gld._blend_search
-
-        def counting(s1, s2, priors, a, b, threshold, basis):
-            def counted(*args):
-                w0 = threshold(*args)
-                nan_counts.append(int(np.isnan(w0).sum()))
-                return w0
-            return search(s1, s2, priors, a, b, counted, basis)
-
-        monkeypatch.setattr(hetlda.gld, "_blend_search", counting)
         s1 = ClassStats(np.array([gap, 0.0]), np.diag([1.0, spread]), 100)
         s2 = ClassStats(np.array([0.0, gap]), np.diag([spread, 1.0]), 1000)
-        train_gld(s1, s2, Priors(100 / 1100, 1000 / 1100))
+        priors = Priors(100 / 1100, 1000 / 1100)
+        nan_counts = []
+
+        def counted(*args):
+            w0 = root_thresholds(priors.tau, *args)
+            nan_counts.append(int(np.isnan(w0).sum()))
+            return w0
+
+        a = np.linspace(0.0, 0.5 * math.pi, 19)[1:-1]
+        hetlda.baselines._blend_search(s1, s2, priors, np.cos(a), np.sin(a),
+                                       counted)
         assert len(winners) == 1 and 0 < nan_counts[0] < 17
 
     def test_exact_ties_keep_the_first(self, monkeypatch):

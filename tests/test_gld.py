@@ -15,7 +15,6 @@ from hetlda import (ClassStats, ComplexRoot, CvPlan, DegenerateProjection,
                     solve_threshold, threshold_roots, train_gld, train_lda,
                     train_rhld1)
 from hetlda.baselines import _blend_basis, _blend_directions
-from hetlda.gld import _scan_thresholds
 
 from helpers import fisher_init, proj_for, random_stats, update_weights
 
@@ -87,37 +86,6 @@ class TestSolveThreshold:
                     other = bayes_error(
                         proj_for(mu1, mu2, var1, var2, shifted), priors)
                     assert pe <= other + 1e-15
-
-
-class TestScanThresholds:
-    """The start scan's threshold callback: solve_threshold per candidate."""
-
-    def test_edges(self):
-        mu1 = np.array([0.0, 3.0, 2.0, 1.5, 1.5, 1.5, 0.01, 0.0])
-        mu2 = np.array([0.0, 1.5, 1.0, 1.5, -0.5, -0.5, 0.0, 0.0])
-        var1 = np.array([2.0, 4.0, 2.0, 2.0, 0.7, 0.7, 1.0, 1.0])
-        var2 = np.array([1.0, 2.0, 1.0, 2.0, 0.7, 0.7 * (1 + 1e-13), 4.0, 4.0])
-        # N = mu2 var1 - mu1 var2 = 0 in the first three, equal variances
-        # (with and without equal means, and equal to 1e-12) next, then
-        # two complex roots at tau = 10
-        for tau in (1.0, 10.0):
-            roots = _scan_thresholds(tau, mu1, mu2, var1, var2)
-            assert roots.shape == (8,)
-            for entry, args in zip(roots.tolist(), zip(mu1, mu2, var1, var2)):
-                try:
-                    want = solve_threshold(*map(float, args), tau)
-                except ComplexRoot:
-                    assert math.isnan(entry)
-                else:
-                    assert entry == want
-            assert np.isnan(roots[6:]).all() == (tau == 10.0)
-            assert not np.isnan(roots[:6]).any()
-
-    def test_unusable_variances_give_nan(self):
-        var = np.array([0.0, -1.0, np.nan, np.inf, 1.0])
-        roots = _scan_thresholds(2.0, np.ones(5), np.zeros(5), var, np.ones(5))
-        assert np.isnan(roots[:4]).all()
-        assert roots[4] == solve_threshold(1.0, 0.0, 1.0, 1.0, 2.0)
 
 
 class TestRootSelection:
@@ -344,7 +312,8 @@ class TestTrainGld:
                                 rtol=1e-12, atol=1e-13)
 
     def test_one_basis_and_no_dense_solve_per_pass(self, monkeypatch):
-        # the start and every update are taken in one blend basis
+        # the start and every update are taken in one blend basis, built
+        # once (one unit_diagonal_eigh call) and then read from the cache
         calls = {"basis": 0, "solve": 0}
 
         def counted(key, fn):
@@ -353,8 +322,9 @@ class TestTrainGld:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(hetlda.baselines, "_blend_basis",
-                            counted("basis", hetlda.baselines._blend_basis))
+        monkeypatch.setattr(hetlda.baselines, "unit_diagonal_eigh",
+                            counted("basis",
+                                    hetlda.baselines.unit_diagonal_eigh))
         for module in (hetlda.gld, hetlda.baselines):
             monkeypatch.setattr(module, "solve_symmetric",
                                 counted("solve", module.solve_symmetric))
@@ -362,6 +332,19 @@ class TestTrainGld:
         _, _, trace = train_gld(s1, s2, priors)
         assert trace.converged_by == "gradient"
         assert calls == {"basis": 1, "solve": 0}
+
+    def test_one_threshold_root_per_record(self, monkeypatch):
+        # the start scan takes each blend's closed-form threshold, so
+        # only the loop solves for a root, once per recorded iterate
+        real = hetlda.gld.solve_threshold
+        calls = []
+        monkeypatch.setattr(hetlda.gld, "solve_threshold",
+                            lambda *args: calls.append(args) or real(*args))
+        rng = np.random.default_rng(37)
+        for s1, s2, priors in (d1_population(), random_stats(rng, 4)):
+            calls.clear()
+            _, _, trace = train_gld(s1, s2, priors)
+            assert len(calls) == len(trace.records)
 
     def test_deterministic(self):
         s1, s2, priors = d2_population()
@@ -450,7 +433,10 @@ class TestCurveStart:
             assert (np.outer(c, lam) + np.outer(s, mu) > 0).all()
 
     def test_fisher_start_when_no_blend_has_a_real_threshold(self):
-        # C2 = 4 C1 in d = 2 makes every direction's radicand negative
+        # one feature, or C2 = 4 C1 in d = 2: every blend has Fisher's
+        # direction, whose radicand is negative, so the scan's winner is
+        # that direction and its first iterate takes the complex-root
+        # fallback
         cov = np.diag([1.0, 2.0])
         wide = (ClassStats(np.array([0.01, 0.005]), cov, 100),
                 ClassStats(np.zeros(2), 4.0 * cov, 1000),
@@ -492,9 +478,8 @@ class TestTrainGldExits:
         assert pe == best.p_e
 
     def test_complex_root_after_first_record(self, monkeypatch):
-        # the start scan's 17 candidates call solve_threshold first, so
-        # call 20 is the loop's third iterate
-        self.fail_on_call(monkeypatch, "solve_threshold", 20, ComplexRoot)
+        # solve_threshold runs once per iterate, so call 3 is the third
+        self.fail_on_call(monkeypatch, "solve_threshold", 3, ComplexRoot)
         self.assert_best_returned(train_gld(*d1_population()),
                                   "complex_root", 2)
 
