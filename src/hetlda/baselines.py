@@ -5,15 +5,15 @@ All of them return (rule, model error, (s1, s2)): the direction is the
 minimum-norm solution of (s1 C1 + s2 C2) w = mean1 - mean2 (lda's blend
 is (pi1, pi2)), taken in the one basis of _blend_basis, its rank set by
 numkit's one unit-diagonal rule; no trainer solves a dense system. The
-basis is kept for the last 16 (stats1, stats2, priors) triples, and the
-trainers of one cross-validation fold share its ClassStats objects, so
-they build it once per class pair. lda's error is evaluated with the
-same machinery as the fixed-point trainer, the searches' by the blend
-engine in closed form, so the numbers are directly comparable. A
-search screens its candidates with a tabulated normal tail of known
-relative error and scores with math.erfc only those that may win, so
-the winner and its error are those of exact scoring. The
-one-parameter searches use the variance-weighted threshold
+basis is kept with the class statistics it comes from, for as long as
+they live, and the trainers of one cross-validation fold share its
+ClassStats objects, so they build it once per class pair. lda's error
+is evaluated with the same machinery as the fixed-point trainer, the
+searches' by the blend engine in closed form, so the numbers are
+directly comparable. A search screens its candidates with a tabulated
+normal tail of known relative error and scores with math.erfc only
+those that may win, so the winner and its error are those of exact
+scoring. The one-parameter searches use the variance-weighted threshold
 (s1 mu2 var1 + s2 mu1 var2) / (s1 var1 + s2 var2).
 """
 from __future__ import annotations
@@ -135,13 +135,6 @@ class SweepConfig:
             raise ValueError("seed must be non-negative")
 
 
-def _mean_difference(stats1: ClassStats, stats2: ClassStats) -> np.ndarray:
-    diff = stats1.mean - stats2.mean
-    if not np.any(diff):
-        raise ZeroDirection("class means are identical")
-    return diff
-
-
 def train_lda(stats1: ClassStats, stats2: ClassStats, priors: Priors
               ) -> tuple[LinearDiscriminant, float, tuple[float, float]]:
     """Homoscedastic maximum-a-posteriori rule on the pooled covariance.
@@ -150,7 +143,7 @@ def train_lda(stats1: ClassStats, stats2: ClassStats, priors: Priors
     the normalization matters because the ln(tau) offset in the threshold
     is not scale-free. Returns (rule, error, (pi1, pi2)).
     """
-    (t, _, _), b = _pooled_basis(stats1, stats2, priors)
+    t, _, _, b, _, _ = _blend_basis(stats1, stats2, priors)
     w = t @ b
     w0 = math.log(priors.tau) + 0.5 * float((stats1.mean + stats2.mean) @ w)
     disc = LinearDiscriminant(w, w0)
@@ -158,37 +151,38 @@ def train_lda(stats1: ClassStats, stats2: ClassStats, priors: Priors
             (priors.pi1, priors.pi2))
 
 
-@functools.lru_cache(maxsize=16)
 def _blend_basis(stats1: ClassStats, stats2: ClassStats, priors: Priors
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T, lam, mu) with T' C1 T = diag(lam), T' C2 T = diag(mu) and
-    pi1 lam + pi2 mu = 1: T whitens P = pi1 C1 + pi2 C2 on the span that
-    numkit.unit_diagonal_eigh keeps, where every blend lives, and
-    diagonalizes C1 there. T T' is the pseudo-inverse of P at unit
-    diagonal. The read-only result is kept for the last 16 calls;
-    ClassStats compare by identity and the cache holds the objects it
-    keys on, so only the same objects (a fold's cached moments) with
-    equal priors reuse a basis."""
+                 ) -> tuple[np.ndarray, ...]:
+    """(T, lam, mu, b, m1, m2): T whitens P = pi1 C1 + pi2 C2 on the span
+    that numkit.unit_diagonal_eigh keeps, where every blend lives, and
+    diagonalizes C1 there, so T' C1 T = diag(lam), T' C2 T = diag(mu),
+    pi1 lam + pi2 mu = 1 and T T' is the pseudo-inverse of P at unit
+    diagonal; b = T'(mean1 - mean2), whose T b is the pooled blend's
+    minimum-norm direction, and mk = T' meank. A b of zeros raises
+    ZeroDirection. The read-only tuple is kept on stats1, keyed by
+    (stats2, priors), while stats1 lives; ClassStats compare by
+    identity, so only a fold's cached moments with equal priors share
+    one."""
+    key, bases = (stats2, priors), stats1._bases
+    if key in bases:
+        return bases[key]
+    diff = stats1.mean - stats2.mean
+    if not np.any(diff):
+        raise ZeroDirection("class means are identical")
     e, u = unit_diagonal_eigh(priors.pi1 * stats1.cov + priors.pi2 * stats2.cov)
     white = u[:, e > 0] / np.sqrt(e[e > 0])
     lam, v = np.linalg.eigh(white.T @ stats1.cov @ white)
     t = white @ v
-    basis = t, lam, np.einsum("ij,ik,kj->j", t, stats2.cov, t)
-    for a in basis:
-        a.setflags(write=False)
-    return basis
-
-
-def _pooled_basis(stats1: ClassStats, stats2: ClassStats, priors: Priors
-                  ) -> tuple[tuple, np.ndarray]:
-    """(_blend_basis, b) with b = T'(mean1 - mean2). As pi1 lam + pi2 mu
-    = 1, T b is the minimum-norm direction of the pooled blend."""
-    basis = _blend_basis(stats1, stats2, priors)
-    b = basis[0].T @ _mean_difference(stats1, stats2)
+    b = t.T @ diff
     if not b.any():
         raise ZeroDirection("mean difference is orthogonal to the pooled "
                             "covariance range")
-    return basis, b
+    basis = (t, lam, np.einsum("ij,ik,kj->j", t, stats2.cov, t), b,
+             t.T @ stats1.mean, t.T @ stats2.mean)
+    for a in basis:
+        a.setflags(write=False)
+    # a basis another thread kept first wins, so every caller shares one
+    return bases.setdefault(key, basis)
 
 
 def _blend_directions(b, lam, mu, s1, s2):
@@ -218,10 +212,9 @@ def _blend_search(stats1: ClassStats, stats2: ClassStats, priors: Priors,
     its candidates with _rough_q and scores with math.erfc only the few
     that may win (_screened_argmin), so the result is that of exact
     scoring of every candidate."""
-    diff = _mean_difference(stats1, stats2)
-    t, lam, mu = _blend_basis(stats1, stats2, priors)
-    x = _blend_directions(t.T @ diff, lam, mu, s1, s2)
-    mu1, mu2 = x @ (t.T @ stats1.mean), x @ (t.T @ stats2.mean)
+    t, lam, mu, b, m1, m2 = _blend_basis(stats1, stats2, priors)
+    x = _blend_directions(b, lam, mu, s1, s2)
+    mu1, mu2 = x @ m1, x @ m2
     var1, var2 = (x * x) @ lam, (x * x) @ mu
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w0 = threshold(s1, s2, mu1, mu2, var1, var2)

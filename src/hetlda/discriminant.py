@@ -178,6 +178,8 @@ class ClassStats:
     mean: np.ndarray
     cov: np.ndarray
     count: int
+    # (stats2, priors) -> baselines._blend_basis with self as stats1
+    _bases: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         mean, cov = np.asarray(self.mean, float), np.asarray(self.cov, float)
@@ -192,7 +194,8 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class Priors:
-    """Class priors; tau = pi2/pi1 is the prior ratio used throughout."""
+    """Class priors; tau = pi2/pi1 is the prior ratio used throughout.
+    Both priors and tau must be positive and finite."""
 
     pi1: float
     pi2: float
@@ -201,7 +204,11 @@ class Priors:
     def __post_init__(self):
         if not (self.pi1 > 0 and self.pi2 > 0):
             raise EmptyClass("priors must be strictly positive")
-        object.__setattr__(self, "tau", self.pi2 / self.pi1)
+        tau = self.pi2 / self.pi1  # 0, inf or NaN when a prior is inf
+        if not 0.0 < tau < math.inf:
+            raise ValueError(f"priors ({self.pi1!r}, {self.pi2!r}) must be "
+                             "finite with a finite, non-zero ratio")
+        object.__setattr__(self, "tau", tau)
 
 
 @dataclass(frozen=True)

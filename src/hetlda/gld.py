@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import (_blend_directions, _blend_search,
-                        _midpoint_threshold, _pooled_basis)
+from .baselines import (_blend_basis, _blend_directions, _blend_search,
+                        _midpoint_threshold)
 from .discriminant import (ClassStats, LinearDiscriminant, Priors,
                            ProjectedStats, _check_variances, _gradient,
                            _integer, bayes_error)
@@ -164,8 +164,8 @@ def train_gld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
     the first iterate raises.
     """
     cfg = config or GldConfig()
-    (t, lam, mu), b = _pooled_basis(stats1, stats2, priors)
-    means = np.stack([stats1.mean, stats2.mean]) @ t
+    t, lam, mu, b, m1, m2 = _blend_basis(stats1, stats2, priors)
+    means = np.stack([m1, m2])
     spreads = np.stack([lam, mu])
     phi = np.arctan2(mu, lam)  # lam cos a + mu sin a > 0 within pi/2 of phi
     arc = np.linspace(phi.max() - 0.5 * math.pi, phi.min() + 0.5 * math.pi,

@@ -78,7 +78,10 @@ def load_model(path: str) -> tuple[OvoModel, str, dict]:
                  for entry in document["pairs"]]
         model = OvoModel(pairs, document["n_classes"],
                          document["class_names"])
-        return model, document["method"], document.get("metadata", {})
+        method, metadata = document["method"], document.get("metadata", {})
+        if not (isinstance(method, str) and isinstance(metadata, dict)):
+            raise TypeError("method must be a string and metadata an object")
+        return model, method, metadata
     except (DimensionMismatch, KeyError, OverflowError, TypeError,
             ValueError) as exc:
         raise ParseError(f"malformed model file: {exc}") from None

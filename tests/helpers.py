@@ -3,12 +3,23 @@ import math
 
 import numpy as np
 
+import hetlda.baselines
 from hetlda import (ClassStats, ComplexRoot, DegenerateProjection,
                     LinearDiscriminant, Priors, ProjectedStats,
                     solve_symmetric, solve_threshold)
-from hetlda.baselines import _blend_basis, _mean_difference, _q
+from hetlda.baselines import _blend_basis, _q
 from hetlda.discriminant import _MIN_PROJECTED_VARIANCE
 from hetlda.numkit import _SINGULAR_RTOL
+
+
+def count_basis_builds(monkeypatch):
+    """The list of matrices the blend engine decomposes from now on: each
+    build of a class pair's basis makes one unit_diagonal_eigh call."""
+    builds = []
+    eigh = hetlda.baselines.unit_diagonal_eigh
+    monkeypatch.setattr(hetlda.baselines, "unit_diagonal_eigh",
+                        lambda a: builds.append(a) or eigh(a))
+    return builds
 
 
 def proj_for(mu1, mu2, var1, var2, w0):
@@ -71,10 +82,9 @@ def exact_blend_search(stats1, stats2, priors, s1, s2, threshold):
     """Reference for the blend engine's scoring: every candidate scored
     with math.erfc, then the first smallest; returns the engine's
     (rule, p_e, (s1, s2)) and the winner's index."""
-    diff = _mean_difference(stats1, stats2)
-    t, lam, mu = _blend_basis(stats1, stats2, priors)
-    x = row_major_directions(t.T @ diff, lam, mu, s1, s2)
-    mu1, mu2 = x @ (t.T @ stats1.mean), x @ (t.T @ stats2.mean)
+    t, lam, mu, b, m1, m2 = _blend_basis(stats1, stats2, priors)
+    x = row_major_directions(b, lam, mu, s1, s2)
+    mu1, mu2 = x @ m1, x @ m2
     var1, var2 = (x * x) @ lam, (x * x) @ mu
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w0 = threshold(s1, s2, mu1, mu2, var1, var2)

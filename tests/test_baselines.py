@@ -1,6 +1,8 @@
+import gc
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -22,8 +24,8 @@ from hetlda.baselines import (_SCREEN_FLOOR, _SCREEN_MARGIN, _SCREEN_MIN,
                               _midpoint_threshold, _rough_q,
                               _screened_argmin, _weighted_threshold)
 
-from helpers import (exact_blend_search, random_stats, root_thresholds,
-                     row_major_directions)
+from helpers import (count_basis_builds, exact_blend_search, random_stats,
+                     root_thresholds, row_major_directions)
 
 Q_AT_1 = 0.15865525393145707
 
@@ -234,8 +236,18 @@ class TestVanishingCovariances:
         with pytest.raises(ZeroDirection, match="pooled covariance range"):
             train_lda(s1, s2, priors)
 
-    def test_blend_searches_have_no_usable_rule(self):
+    def test_blend_searches_have_no_direction(self):
         s1, s2, priors = self.stats()
+        cfg = SweepConfig(step=0.1, trials=20)
+        for train in (train_chld, train_rhld1, train_rhld2):
+            with pytest.raises(ZeroDirection, match="pooled covariance range"):
+                train(s1, s2, priors, cfg)
+
+    def test_blend_searches_have_no_usable_rule(self):
+        # C1 = 0 and C2 = I: the mean difference is in the pooled range,
+        # but every blend direction projects class 1 to zero variance
+        s1, s2, priors = balanced([1.0, 0.0], np.zeros((2, 2)),
+                                  [0.0, 0.0], np.eye(2))
         cfg = SweepConfig(step=0.1, trials=20)
         for train in (train_chld, train_rhld1, train_rhld2):
             with pytest.raises(DegenerateProjection, match="no blend"):
@@ -336,7 +348,7 @@ class TestCommonGuarantees:
                                  data.features[:, 1] + data.features[:, 2]])
             stats1, stats2, priors = compute_class_stats(
                 LabeledDataset(x, data.labels), 0, 1)
-            t, lam, mu = _blend_basis(stats1, stats2, priors)
+            t, lam, mu = _blend_basis(stats1, stats2, priors)[:3]
             engine = t @ _blend_directions(t.T @ (stats1.mean - stats2.mean),
                                            lam, mu, priors.pi1, priors.pi2)
             w = train_lda(stats1, stats2, priors)[0].w
@@ -631,7 +643,7 @@ class TestScreenedScoring:
         cases = [d1_population(), d2_population()]
         cases += [random_stats(rng, d) for d in (1, 3, 6)]
         for stats1, stats2, priors in cases:
-            t, lam, mu = _blend_basis(stats1, stats2, priors)
+            t, lam, mu = _blend_basis(stats1, stats2, priors)[:3]
             b = t.T @ (stats1.mean - stats2.mean)
             s = rng.uniform(-2.0, 3.0, (2, 500))
             # exactly singular blends: lam_j s1 + mu_j s2 = 0
@@ -720,27 +732,40 @@ class TestScreenedScoring:
 
 
 class TestBasisCache:
-    def count_builds(self, monkeypatch):
-        # each build of a basis makes one unit_diagonal_eigh call
-        builds = []
-        eigh = hetlda.baselines.unit_diagonal_eigh
-        monkeypatch.setattr(hetlda.baselines, "unit_diagonal_eigh",
-                            lambda a: builds.append(a) or eigh(a))
-        return builds
-
     def test_one_basis_per_pair_per_fold(self, monkeypatch):
         # every method of a fold gets the fold's ClassStats objects, so
-        # the five Gaussian trainers build the pair's basis once
-        builds = self.count_builds(monkeypatch)
-        data = generate_d2(0).subset(np.arange(0, 6000, 10))
+        # the five Gaussian trainers build each class pair's basis once a
+        # fold, however many pairs it has: 2 folds x 21 pairs at K = 7
+        builds = count_basis_builds(monkeypatch)
+        rng = np.random.default_rng(7)
+        centres = np.repeat(rng.normal(0.0, 2.0, (7, 4)), 60, axis=0)
+        scales = np.repeat(rng.uniform(0.5, 2.0, (7, 4)), 60, axis=0)
+        seven = LabeledDataset(centres + scales * rng.standard_normal(
+            (420, 4)), np.repeat(np.arange(7), 60))
         names = ("lda", "chld", "rhld1", "rhld2", "gld")
-        report = run_benchmark(data, [(m, make_trainer(m)) for m in names],
-                               CvPlan(folds=3, trials=1))
-        assert sum(m.failures for m in report.methods) == 0
-        assert len(builds) == 3
+        cases = [(generate_d2(0).subset(np.arange(0, 6000, 10)), 3, 3),
+                 (seven, 2, 42)]
+        for data, folds, expected in cases:
+            builds.clear()
+            report = run_benchmark(
+                data, [(m, make_trainer(m)) for m in names],
+                CvPlan(folds=folds, trials=1))
+            assert sum(m.failures for m in report.methods) == 0
+            assert len(builds) == expected
+
+    def test_statistics_are_not_kept_alive(self):
+        # a basis lives with its class statistics, not beyond them
+        rng = np.random.default_rng(11)
+        for train in (train_lda, train_chld):
+            s1, s2, priors = random_stats(rng, 3)
+            train(s1, s2, priors)
+            refs = [weakref.ref(s1), weakref.ref(s2)]
+            del s1, s2
+            gc.collect()
+            assert [ref() for ref in refs] == [None, None], train.__name__
 
     def test_cached_basis_is_shared_read_only(self, monkeypatch):
-        builds = self.count_builds(monkeypatch)
+        builds = count_basis_builds(monkeypatch)
         s1, s2, priors = d1_population()
         basis = _blend_basis(s1, s2, priors)
         assert all(not a.flags.writeable for a in basis)
@@ -751,7 +776,7 @@ class TestBasisCache:
             basis[1][0] = 0.0
 
     def test_new_priors_or_new_stats_recompute(self, monkeypatch):
-        builds = self.count_builds(monkeypatch)
+        builds = count_basis_builds(monkeypatch)
         s1, s2, priors = d1_population()
         t = _blend_basis(s1, s2, priors)[0]
         other = _blend_basis(s1, s2, Priors(0.5, 0.5))[0]
@@ -770,8 +795,9 @@ class TestBasisCache:
         # result must be its pair's basis, whoever built it
         problems = [random_stats(np.random.default_rng(k), 4)
                     for k in range(3)]
-        expected = [[a.tobytes() for a in _blend_basis.__wrapped__(*stats)]
-                    for stats in problems]
+        expected = [[a.tobytes() for a in _blend_basis(
+            *(ClassStats(s.mean, s.cov, s.count) for s in stats[:2]),
+            stats[2])] for stats in problems]
         wrong = []
 
         def work(k):

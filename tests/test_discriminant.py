@@ -299,6 +299,16 @@ def test_priors_must_be_positive():
             Priors(pi1, pi2)
 
 
+def test_priors_must_be_finite():
+    # tau overflows to inf for (1e-320, 1) and underflows to 0 for
+    # (1e300, 1e-300); an infinite prior has no finite ratio either
+    for pi1, pi2 in ((math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf),
+                     (1e-320, 1.0), (1e-300, 1e300), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match="finite"):
+            Priors(pi1, pi2)
+    assert Priors(1.0, 1e-300).tau == 1e-300
+
+
 class TestProjectStats:
     def test_coordinate_projection(self):
         s1 = ClassStats(np.array([2.0, 9.0]), np.diag([4.0, 1.0]), 5)

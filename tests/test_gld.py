@@ -16,7 +16,8 @@ from hetlda import (ClassStats, ComplexRoot, CvPlan, DegenerateProjection,
                     train_rhld1)
 from hetlda.baselines import _blend_basis, _blend_directions
 
-from helpers import fisher_init, proj_for, random_stats, update_weights
+from helpers import (count_basis_builds, fisher_init, proj_for,
+                     random_stats, update_weights)
 
 # Frozen from an independent oracle: 40-digit root find of the error
 # derivative pi1*phi(z1)/sigma1 - pi2*phi(z2)/sigma2, each root checked
@@ -158,7 +159,8 @@ def in_basis_update(s1, s2, proj):
     """gld's direction update as its loop takes it: T x for the blend
     (-z1/sigma1, z2/sigma2) in the engine's basis."""
     n = s1.count + s2.count
-    t, lam, mu = _blend_basis(s1, s2, Priors(s1.count / n, s2.count / n))
+    t, lam, mu = _blend_basis(s1, s2,
+                              Priors(s1.count / n, s2.count / n))[:3]
     return t @ _blend_directions(t.T @ (s1.mean - s2.mean), lam, mu,
                                  -proj.z1 / proj.sigma1,
                                  proj.z2 / proj.sigma2)
@@ -208,12 +210,14 @@ class TestUpdateWeights:
             assert residual <= 1e-8 * max(np.linalg.norm(diff), 1.0)
 
     def test_mean_difference_outside_the_range(self):
-        # the loop stops on "singular_update" when its update is all zero
+        # the dense update is all zero; the engine refuses the pair
+        # before any update, as train_gld does
         cov = np.diag([1.0, 0.0])
         s1 = ClassStats(np.array([0.0, 1.0]), cov, 5)
         s2 = ClassStats(np.array([0.0, 0.0]), cov, 5)
         proj = ProjectedStats(0.0, 0.0, 1.0, 4.0, -1.0, 0.5)
-        assert not in_basis_update(s1, s2, proj).any()
+        with pytest.raises(ZeroDirection, match="pooled covariance range"):
+            in_basis_update(s1, s2, proj)
         assert not update_weights(s1, s2, proj).any()
 
 
@@ -313,25 +317,16 @@ class TestTrainGld:
 
     def test_one_basis_and_no_dense_solve_per_pass(self, monkeypatch):
         # the start and every update are taken in one blend basis, built
-        # once (one unit_diagonal_eigh call) and then read from the cache
-        calls = {"basis": 0, "solve": 0}
-
-        def counted(key, fn):
-            def wrapper(*args):
-                calls[key] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(hetlda.baselines, "unit_diagonal_eigh",
-                            counted("basis",
-                                    hetlda.baselines.unit_diagonal_eigh))
+        # once (one unit_diagonal_eigh call) and then kept with s1
+        builds, solves = count_basis_builds(monkeypatch), []
         for module in (hetlda.gld, hetlda.baselines):
             monkeypatch.setattr(module, "solve_symmetric",
-                                counted("solve", module.solve_symmetric))
+                                lambda *a, solve=module.solve_symmetric:
+                                solves.append(a) or solve(*a))
         s1, s2, priors = d1_population()
         _, _, trace = train_gld(s1, s2, priors)
         assert trace.converged_by == "gradient"
-        assert calls == {"basis": 1, "solve": 0}
+        assert (len(builds), len(solves)) == (1, 0)
 
     def test_one_threshold_root_per_record(self, monkeypatch):
         # the start scan takes each blend's closed-form threshold, so
@@ -429,7 +424,7 @@ class TestCurveStart:
             (c, s), = scans
             assert c.shape == (17,)
             assert_allclose(s[0] / c[0], priors.pi2 / priors.pi1, rtol=1e-14)
-            _, lam, mu = _blend_basis(s1, s2, priors)
+            _, lam, mu = _blend_basis(s1, s2, priors)[:3]
             assert (np.outer(c, lam) + np.outer(s, mu) > 0).all()
 
     def test_fisher_start_when_no_blend_has_a_real_threshold(self):

@@ -78,6 +78,21 @@ class TestFormatGuards:
         with pytest.raises(ParseError):
             load_model(str(path))
 
+    def test_method_and_metadata_types(self, tmp_path):
+        model, _ = trained_model(seed=6, k=2)
+        path = str(tmp_path / "model.json")
+        save_model(path, model, "lda")
+        saved = json.loads(Path(path).read_text())
+        for key, value in (("method", 7), ("method", None),
+                           ("metadata", 5), ("metadata", [1]),
+                           ("metadata", "x"), ("metadata", None)):
+            Path(path).write_text(json.dumps({**saved, key: value}))
+            with pytest.raises(ParseError, match="malformed model file"):
+                load_model(path)
+        del saved["metadata"]
+        Path(path).write_text(json.dumps(saved))
+        assert load_model(path)[1:] == ("lda", {})
+
     def test_bad_pair_entry(self, tmp_path):
         model, _ = trained_model(seed=5, k=2)
         path = str(tmp_path / "model.json")
