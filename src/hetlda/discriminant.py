@@ -404,7 +404,7 @@ def training_error_count(disc: LinearDiscriminant, data: LabeledDataset,
     """Misclassified-sample count on a two-class dataset.
 
     By default the smaller label plays the w'x >= w0 side (class_a);
-    class_a and class_b are given both or neither.
+    class_a and class_b are given both or neither, and differ.
     """
     class_a, class_b = _class_pair(data, class_a, class_b)
     side_a = decision_values(disc, data.features) >= 0.0
@@ -427,4 +427,6 @@ def _class_pair(data: LabeledDataset, class_a: int | None,
             raise DimensionMismatch(
                 f"dataset has {np.unique(labels).size} classes; pass "
                 "class_a/class_b explicitly")
+    elif class_a == class_b:
+        raise ValueError(f"class_a and class_b are both {class_a}")
     return class_a, class_b

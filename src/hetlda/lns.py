@@ -10,6 +10,14 @@ block of rows projects the rows on every candidate direction; the sides
 are written into one bool buffer, reused by every block and sweep, whose
 rows are padded to whole 8-byte words; and the mistakes are the set bits
 of those words XOR the class sides, packed the same way once per search.
+
+All else a sweep needs is made once per search too: the candidate
+matrix, rewritten in place by every sweep, the views into the side
+buffer, and, when the pair's rows fit in one block, one C-contiguous
+d x n copy of them. The product runs faster on that copy than on the
+strided transpose of the rows (about 10 against 14 us at 1800 rows and
+d = 6), so a sweep does little beyond its product, its comparisons and
+its count.
 """
 from __future__ import annotations
 
@@ -26,8 +34,9 @@ __all__ = ["LnsConfig", "local_neighbourhood_search"]
 
 # Relative size of the absolute step that unfreezes a zero component.
 _ZERO_STEP_FRACTION = 1e-3
-# Rows scored at a time: a sweep's temporaries hold 2(d+1) x _BLOCK_ROWS
-# products (0.6 MB at d = 8) however many rows the data have.
+# Rows scored at a time: a search's temporaries hold 2(d+1) x _BLOCK_ROWS
+# products (0.6 MB at d = 8) and at most one d x _BLOCK_ROWS copy of the
+# rows (0.26 MB at d = 8) however many rows the data have.
 _BLOCK_ROWS = 4096
 
 
@@ -97,8 +106,9 @@ def local_neighbourhood_search(
     best_count = int(count_errors(current[:, None])[0])
     stall = 0
 
+    candidates = np.empty((current.shape[0], 2 * current.shape[0]))
     for sweep in range(cfg.max_iters):
-        candidates = _sweep_candidates(current, cfg.perturb_fraction)
+        _sweep_candidates(current, cfg.perturb_fraction, candidates)
         counts = count_errors(candidates)
         pick = int(counts.argmin())
         current = candidates[:, pick].copy()
@@ -115,23 +125,26 @@ def local_neighbourhood_search(
     return LinearDiscriminant(best[1:], float(best[0])), best_count
 
 
-def _sweep_candidates(current: np.ndarray,
-                      perturb_fraction: float) -> np.ndarray:
+def _sweep_candidates(current: np.ndarray, perturb_fraction: float,
+                      out: np.ndarray | None = None) -> np.ndarray:
     # Column 2i is current with +delta_i on component i, column 2i+1 the
-    # same with -delta_i; a component at zero gets the absolute step.
+    # same with -delta_i; a zero delta_i becomes the absolute step, whose
+    # scale is looked up only then. Written into out, a C-contiguous
+    # (size x 2 size) buffer, when given.
     magnitude = np.abs(current)
-    scale = float(magnitude.max())
-    zero_step = _ZERO_STEP_FRACTION * scale if scale > 0 \
-        else _ZERO_STEP_FRACTION
     delta = perturb_fraction * magnitude
-    delta[delta == 0.0] = zero_step
+    if not delta.all():
+        scale = float(magnitude.max())
+        delta[delta == 0.0] = _ZERO_STEP_FRACTION * scale if scale > 0 \
+            else _ZERO_STEP_FRACTION
     size = current.shape[0]
-    candidates = np.empty((size, 2 * size))
+    candidates = np.empty((size, 2 * size)) if out is None else out
     candidates[...] = current[:, None]
     # entries (i, 2i) sit 2 * size + 2 apart in the flat array
     flat = candidates.reshape(-1)
-    flat[::2 * size + 2] += delta
-    flat[1::2 * size + 2] -= delta
+    plus, minus = flat[::2 * size + 2], flat[1::2 * size + 2]
+    np.add(plus, delta, out=plus)
+    np.subtract(minus, delta, out=minus)
     return candidates
 
 
@@ -161,31 +174,42 @@ def _error_counter(train: LabeledDataset, class_a: int, class_b: int,
         n_words = -(-block_rows // 8)
         actual = np.zeros(8 * n_words, dtype=bool)
         actual[:block_rows] = is_a[start:stop]
+        block_t = features[start:stop].T
+        if rows <= _BLOCK_ROWS:
+            # the product runs faster on d contiguous rows than on the
+            # strided transpose; larger pairs stream views instead, so
+            # that no copy of their features is made
+            block_t = np.ascontiguousarray(block_t)
         # a short last block must not count the bits an earlier block
         # left in its pad
         pad = side_a[:, block_rows:8 * n_words] if block_rows < full \
             else None
-        blocks.append((features[start:stop].T, side_a[:, :block_rows], pad,
-                       words[:, :n_words], actual.view(np.uint64)))
+        predicted = side_a[:, :block_rows]
+        blocks.append((block_t, predicted[0], predicted[1], predicted[2:],
+                       pad, words[:1, :n_words], words[:, :n_words],
+                       actual.view(np.uint64)))
 
     def count_errors(candidates: np.ndarray) -> np.ndarray:
         m = candidates.shape[1]
         weights, thresholds = candidates[1:].T, candidates[0]
         counts = np.zeros(m, dtype=np.uint64)
-        for block_t, predicted, pad, mistakes, actual in blocks:
-            # one candidate per row: this exact product decides the side
-            # of a row that sits on a threshold, so its shape stays fixed
+        for (block_t, first, second, rest, pad, start_words, sweep_words,
+             actual) in blocks:
+            # A row within rounding of a threshold takes its side from
+            # the last bits of this product, which may differ from those
+            # of a product with one candidate at a time; the product's
+            # shape and layout stay fixed, so that a search repeats.
             products = weights @ block_t
-            np.greater_equal(products[0], thresholds[0], out=predicted[0])
+            np.greater_equal(products[0], thresholds[0], out=first)
             if m > 1:
-                np.greater_equal(products[1], thresholds[1], out=predicted[1])
-                np.greater_equal(products[2:], thresholds[2],
-                                 out=predicted[2:])
+                np.greater_equal(products[1], thresholds[1], out=second)
+                np.greater_equal(products[2:], thresholds[2], out=rest)
             if pad is not None:
                 pad[...] = False
-            mistakes = mistakes[:m]
+            mistakes = sweep_words if m > 1 else start_words
             np.bitwise_xor(mistakes, actual, out=mistakes)
-            counts += np.bitwise_count(mistakes).sum(axis=1)
+            # add.reduce, not .sum: 23 against 27 us a count at 1800 x 6
+            counts += np.add.reduce(np.bitwise_count(mistakes), axis=1)
         if n_other:
             counts += n_other
         return counts

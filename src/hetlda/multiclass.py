@@ -14,7 +14,7 @@ import numpy as np
 
 from .discriminant import (LabeledDataset, LinearDiscriminant, _as_batch,
                            _class_names, _fill_moments, _integer,
-                           _one_sample, decision_values)
+                           _one_sample)
 from .errors import EmptyClass
 
 __all__ = ["BinaryTrainer", "OvoModel", "train_ovo", "predict_ovo",
@@ -103,9 +103,11 @@ def train_ovo(data: LabeledDataset, trainer: BinaryTrainer) -> OvoModel:
 
 
 def _scores(model: OvoModel, features: np.ndarray) -> np.ndarray:
+    # features is a checked n x d batch, so each pair's decision values
+    # are taken without validating it again
     scores = np.zeros((features.shape[0], model.n_classes))
     for a, b, disc, p_e in model.pairs:
-        votes_a = decision_values(disc, features) >= 0.0
+        votes_a = features @ disc.w - disc.w0 >= 0.0
         weight = 1.0 - p_e
         scores[votes_a, a] += weight
         scores[~votes_a, b] += weight

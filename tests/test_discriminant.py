@@ -513,3 +513,8 @@ class TestTrainingErrorCount:
         for lone in ({"class_a": 1}, {"class_b": 0}):
             with pytest.raises(ValueError, match="both"):
                 training_error_count(disc, data, **lone)
+
+    def test_class_pair_must_differ(self):
+        data = LabeledDataset([[0.0], [1.0], [2.0], [3.0]], [1, 1, 0, 0])
+        with pytest.raises(ValueError, match="both 0"):
+            training_error_count(LinearDiscriminant([1.0], 1.0), data, 0, 0)
