@@ -28,8 +28,7 @@ from .discriminant import (_MIN_PROJECTED_VARIANCE, ClassStats,
                            LinearDiscriminant, Priors, _integer,
                            bayes_error, project_stats)
 from .errors import DegenerateProjection, ZeroDirection
-from . import numkit
-from .numkit import unit_diagonal_eigh
+from .numkit import _above_cut, unit_diagonal_eigh
 from .numkit import solve_symmetric  # perfbench's tracer patches it
 
 __all__ = ["SweepConfig", "train_lda", "train_chld", "train_rhld1",
@@ -188,17 +187,15 @@ def _blend_basis(stats1: ClassStats, stats2: ClassStats, priors: Priors
 def _blend_directions(b, lam, mu, s1, s2):
     """x with T x the minimum-norm solution of (s1 C1 + s2 C2) w = d, b =
     T' d, for each blend: a C-contiguous (candidates, d) array, or a
-    d-vector for scalar s1, s2. An eigenvalue within
-    numkit._SINGULAR_RTOL of the blend's largest drops out, as
+    d-vector for scalar s1, s2. An eigenvalue that numkit._above_cut
+    puts at or below the rank cut of the blend's largest drops out, as
     unit_diagonal_eigh drops one of P."""
     # eigenvalue-major (d, candidates), so the largest is taken across
     # d rows rather than along n rows of d
     eig = np.multiply.outer(lam, s1) + np.multiply.outer(mu, s2)
-    size = np.abs(eig)
-    drop = ~(size > numkit._SINGULAR_RTOL * size.max(0, initial=0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         x = (b / eig.T).T  # b runs along the last axis; dropped below
-    x[drop] = 0.0
+    x[~_above_cut(eig)] = 0.0
     return np.ascontiguousarray(x.T)
 
 

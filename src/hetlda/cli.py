@@ -52,24 +52,20 @@ def _add_trainer_flags(parser: argparse.ArgumentParser) -> None:
             ("--s-max", SweepConfig.s_range[1], "random-draw range upper end"),
             ("--lns-iters", LnsConfig.max_iters,
              "perturbation sweeps for gld-lns"),
+            ("--lns-early-stop", LnsConfig.early_stop,
+             "sweeps without improvement before stopping"),
             ("--perturb-fraction", LnsConfig.perturb_fraction,
              "relative perturbation size")):
         group.add_argument(flag, type=type(default), default=default,
                            help=f"{text} (default %(default)s)")
-    group.add_argument("--lns-early-stop", type=int,
-                       help="sweeps without improvement before stopping "
-                            f"(default the smaller of {LnsConfig.early_stop} "
-                            "and --lns-iters)")
 
 
 def _trainer_configs(args) -> tuple[GldConfig, SweepConfig, LnsConfig]:
     gld = _config(GldConfig, max_iters=args.max_iters, grad_tol=args.grad_tol)
     sweep = _config(SweepConfig, step=args.step, trials=args.search_trials,
                     s_range=(args.s_min, args.s_max), seed=args.seed)
-    early_stop = args.lns_early_stop
-    if early_stop is None:
-        early_stop = min(LnsConfig.early_stop, args.lns_iters)
-    lns = _config(LnsConfig, max_iters=args.lns_iters, early_stop=early_stop,
+    lns = _config(LnsConfig, max_iters=args.lns_iters,
+                  early_stop=args.lns_early_stop,
                   perturb_fraction=args.perturb_fraction)
     return gld, sweep, lns
 

@@ -46,7 +46,7 @@ def _integer(name: str, value) -> int:
     # True and 2.0 equal integers but cannot size, index or count
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} {value!r} is not an integer")
-    return value
+    return int(value)
 
 
 def _class_names(names, k: int, mismatch: type) -> tuple[str, ...]:
@@ -64,12 +64,6 @@ def _class_names(names, k: int, mismatch: type) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _ascending(idx: np.ndarray) -> bool:
-    # non-negative integer row indices in ascending order, none twice
-    return (idx.dtype.kind in "iu" and idx.ndim == 1 and idx.size > 0
-            and idx[0] >= 0 and bool(np.all(idx[1:] > idx[:-1])))
-
-
 @dataclass(frozen=True)
 class LabeledDataset:
     """Feature matrix with dense integer labels.
@@ -83,8 +77,8 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     class_names: tuple[str, ...] | None = None
-    # label -> ClassStats of each class whose moments compute_class_stats
-    # has computed on these rows; never an error
+    # label -> ClassStats of the classes whose moments compute_class_stats
+    # computed on these rows, or train_ovo handed to a pair; never an error
     _moments: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -141,14 +135,15 @@ class LabeledDataset:
     def subset(self, indices) -> "LabeledDataset":
         """Row subset; labels keep their values, and class names are
         trimmed to the labels that remain representable (entries above
-        the new max label drop off). A class whose rows the subset keeps
-        all of, in their order, keeps the moments cached for it here.
-        Every row in order is the dataset itself (its names end at its
-        largest label, so none is trimmed): it cannot change, so a copy
-        would only cost time."""
+        the new max label drop off). A copy starts with no cached
+        moments: compute_class_stats fills them, and train_ovo hands a
+        class pair those of its two classes. Every row in order is the
+        dataset itself (its names end at its largest label, so none is
+        trimmed): it cannot change, so a copy would only cost time."""
         idx = np.asarray(indices)
-        if (idx.size == self.n_samples and _ascending(idx)
-                and idx[-1] == self.n_samples - 1):
+        if (idx.dtype.kind in "iu" and idx.shape == (self.n_samples,)
+                and idx[0] == 0 and idx[-1] == self.n_samples - 1
+                and np.all(idx[1:] > idx[:-1])):
             return self
         # np.take gathers integer rows as indexing does, only faster; both
         # copy, so the new dataset may keep them without another copy
@@ -159,15 +154,7 @@ class LabeledDataset:
         labels.setflags(write=False)
         # initial=-1: an empty subset still fails the "no rows" check
         top = int(labels.max(initial=-1))
-        sub = LabeledDataset(features, labels, self.class_names[:top + 1])
-        if self._moments and _ascending(idx):
-            # a class with as many rows here as in self has them all, in
-            # the same order
-            counts = np.bincount(labels, minlength=top + 1)
-            sub._moments.update(
-                (label, stats) for label, stats in self._moments.items()
-                if label <= top and counts[label] == stats.count)
-        return sub
+        return LabeledDataset(features, labels, self.class_names[:top + 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +200,7 @@ class Priors:
 
 @dataclass(frozen=True)
 class LinearDiscriminant:
-    """Decision rule: first class iff w'x >= w0."""
+    """Decision rule: first class iff w'x >= w0; w and w0 are finite."""
 
     w: np.ndarray
     w0: float
@@ -222,8 +209,11 @@ class LinearDiscriminant:
         w = np.asarray(self.w, dtype=float)
         if w.ndim != 1:
             raise DimensionMismatch(f"w must be a vector, got shape {w.shape}")
+        w0 = float(self.w0)
+        if not (np.isfinite(w).all() and math.isfinite(w0)):
+            raise ValueError("rule has a non-finite weight or threshold")
         object.__setattr__(self, "w", _readonly(w))
-        object.__setattr__(self, "w0", float(self.w0))
+        object.__setattr__(self, "w0", w0)
 
 
 @dataclass(frozen=True)

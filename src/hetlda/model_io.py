@@ -30,6 +30,11 @@ def dataset_hash(data: LabeledDataset) -> str:
 
 def save_model(path: str, model: OvoModel, method: str,
                metadata: dict | None = None) -> None:
+    """Write a file that load_model reads. Metadata that JSON cannot
+    hold raises before the file is opened, so an old file stays whole."""
+    if not (isinstance(method, str)
+            and (metadata is None or isinstance(metadata, dict))):
+        raise ValueError("method must be a str and metadata None or a dict")
     document = {
         "format_version": FORMAT_VERSION,
         "method": method,
@@ -40,11 +45,11 @@ def save_model(path: str, model: OvoModel, method: str,
              "w0": disc.w0, "p_e": p_e}
             for a, b, disc, p_e in model.pairs
         ],
-        "metadata": metadata or {},
+        "metadata": {} if metadata is None else metadata,
     }
+    text = json.dumps(document, indent=1) + "\n"
     with open(path, "w") as handle:
-        json.dump(document, handle, indent=1)
-        handle.write("\n")
+        handle.write(text)
 
 
 def _number(value) -> float:

@@ -30,39 +30,39 @@ BinaryTrainer = Callable[[LabeledDataset, int, int],
 @dataclass(frozen=True)
 class OvoModel:
     """All K(K-1)/2 pairwise rules with their error estimates; K >= 2,
-    int class indices, finite rules whose w share one non-empty length,
-    and class_names ("0", ..., "K-1") unless given."""
+    int class indices, float errors, rules whose w share one non-empty
+    length, and class_names ("0", ..., "K-1") unless given."""
 
     pairs: tuple[tuple[int, int, LinearDiscriminant, float], ...]
     n_classes: int
     class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
         k = _integer("n_classes", self.n_classes)
         if k < 2:
             raise ValueError(f"need at least two classes, got {k}")
-        seen = set()
+        pairs = []
         for a, b, disc, p_e in self.pairs:
-            if not 0 <= _integer("class_a", a) < _integer("class_b", b) < k:
+            a, b = _integer("class_a", a), _integer("class_b", b)
+            if not 0 <= a < b < k:
                 raise ValueError(f"invalid class pair ({a}, {b})")
             if not 0.0 <= p_e <= 1.0:
                 raise ValueError(f"pair ({a}, {b}) has error {p_e} "
                                  "outside [0, 1]")
-            if not (np.all(np.isfinite(disc.w)) and np.isfinite(disc.w0)):
-                raise ValueError(f"pair ({a}, {b}) has a non-finite weight "
-                                 "or threshold")
-            seen.add((a, b))
+            pairs.append((a, b, disc, float(p_e)))
         # K(K-1)/2 valid, distinct pairs cover them all; neither the full
         # pair set nor the default names are built before this check,
         # because K may come from an untrusted model file
-        if not len(seen) == len(self.pairs) == k * (k - 1) // 2:
+        distinct = {(a, b) for a, b, _disc, _p_e in pairs}
+        if not len(distinct) == len(pairs) == k * (k - 1) // 2:
             raise ValueError("pairs must cover every unordered class pair "
                              "exactly once")
-        lengths = {disc.w.shape[0] for _a, _b, disc, _p_e in self.pairs}
+        lengths = {disc.w.shape[0] for _a, _b, disc, _p_e in pairs}
         if len(lengths) != 1 or 0 in lengths:
             raise ValueError("weight vectors are empty or of different "
                              "lengths")
+        object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(self, "n_classes", k)
         object.__setattr__(self, "class_names",
                            _class_names(self.class_names, k, ValueError))
 
@@ -77,7 +77,8 @@ def train_ovo(data: LabeledDataset, trainer: BinaryTrainer) -> OvoModel:
     Each pair sees only its own samples; the other K-2 classes are
     ignored. Every class must contribute at least two samples. With two
     classes the trainer gets data itself; with more, each class's
-    moments are computed once on data and shared with its pairs.
+    moments are computed once on data and handed to its pairs, which
+    hold its rows whole and in order.
     """
     k = data.n_classes
     if k < 2:
@@ -88,17 +89,19 @@ def train_ovo(data: LabeledDataset, trainer: BinaryTrainer) -> OvoModel:
             raise EmptyClass(f"class {label} has {count} samples")
     if k == 2:
         disc, p_e = trainer(data, 0, 1)
-        return OvoModel(((0, 1, disc, float(p_e)),), k, data.class_names)
-    # each pair subset keeps both classes' rows in order, and so the
-    # moments cached here
+        return OvoModel(((0, 1, disc, p_e),), k, data.class_names)
+    # a class whose moments raise is left out, and raises again on the pair
     _fill_moments(data)
     pairs = []
     for a in range(k):
         for b in range(a + 1, k):
             subset = data.subset(np.flatnonzero(
                 (data.labels == a) | (data.labels == b)))
+            subset._moments.update((label, data._moments[label])
+                                   for label in (a, b)
+                                   if label in data._moments)
             disc, p_e = trainer(subset, a, b)
-            pairs.append((a, b, disc, float(p_e)))
+            pairs.append((a, b, disc, p_e))
     return OvoModel(tuple(pairs), k, data.class_names)
 
 

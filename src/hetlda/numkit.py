@@ -26,8 +26,15 @@ def unit_diagonal_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diag = np.abs(A.diagonal())
     scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
     e, u = np.linalg.eigh(scale[:, None] * A * scale)
-    keep = np.abs(e) > _SINGULAR_RTOL * np.abs(e).max(initial=0.0)
+    keep = _above_cut(e)
     return e[keep], scale[:, None] * u[:, keep]
+
+
+def _above_cut(e: np.ndarray) -> np.ndarray:
+    """|e| > _SINGULAR_RTOL max|e| along the first axis of e, the one rank
+    cut; False at or below it, and down a column that holds a NaN."""
+    size = np.abs(e)
+    return size > _SINGULAR_RTOL * size.max(0, initial=0.0)
 
 
 def solve_symmetric(A, b) -> np.ndarray:

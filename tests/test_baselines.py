@@ -665,6 +665,15 @@ class TestScreenedScoring:
                 ref = row_major_directions(b, lam, mu, big[0], big[1])
             assert x.tobytes() == ref.tobytes()
 
+    def test_directions_cut_rank_at_the_boundary(self):
+        # lam = mu, so the blend (1, 0) has eigenvalues lam exactly; the
+        # one at the cut drops out, the next float up stays
+        b = np.array([2.0, 3.0])
+        for c, kept in ((1e-14, False), (np.nextafter(1e-14, 1.0), True)):
+            lam = mu = np.array([1.0, c])
+            x = _blend_directions(b, lam, mu, 1.0, 0.0)
+            assert x.tolist() == [2.0, 3.0 / c if kept else 0.0], c
+
     def test_a_search_scores_few_candidates_exactly(self, monkeypatch):
         scored = []
         q = hetlda.baselines._q

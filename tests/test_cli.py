@@ -137,11 +137,11 @@ class TestTrain:
                              "--lns-early-stop", "10")
             assert code == 0, method
 
-    def test_lns_early_stop_defaults_to_at_most_the_sweep_budget(
-            self, tmp_path, capsys):
+    def test_lns_early_stop_defaults_to_its_config_field(self, tmp_path,
+                                                         capsys):
         data = small_csv(tmp_path)
         out = str(tmp_path / "m.json")
-        for argv, used in ((["--lns-iters", "50"], 50),
+        for argv, used in ((["--lns-iters", "50"], LnsConfig.early_stop),
                            (["--lns-iters", "500"], LnsConfig.early_stop),
                            (["--lns-iters", "50", "--lns-early-stop", "7"],
                             7)):
@@ -152,8 +152,32 @@ class TestTrain:
             assert metadata["config"]["lns_early_stop"] == used, argv
         code, _, stderr = run(capsys, "train", "gld-lns", data,
                               "--label-col", "-1", "--out", out,
-                              "--lns-iters", "50", "--lns-early-stop", "51")
-        assert code == 2 and "early_stop must be in" in stderr
+                              "--lns-iters", "50", "--lns-early-stop", "0")
+        assert code == 2 and "early_stop must be at least 1" in stderr
+
+    def test_early_stop_at_or_above_the_sweep_budget_changes_no_pair(
+            self, tmp_path, capsys):
+        data = three_class_csv(tmp_path)
+        documents = []
+        for extra in ([], ["--lns-early-stop", "50"],
+                      ["--lns-early-stop", "200"]):
+            out = str(tmp_path / f"m{len(documents)}.json")
+            code, _, _ = run(capsys, "train", "gld-lns", data, "--label-col",
+                             "-1", "--out", out, "--lns-iters", "50", *extra)
+            assert code == 0, extra
+            documents.append(json.loads(Path(out).read_text()))
+        assert [d["metadata"]["config"].pop("lns_early_stop")
+                for d in documents] == [LnsConfig.early_stop, 50, 200]
+        assert documents[0] == documents[1] == documents[2]
+        assert len(documents[0]["pairs"]) == 3
+
+    def test_help_prints_every_trainer_default(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--help"])
+        assert info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("sweeps without improvement before stopping (default "
+                f"{LnsConfig.early_stop})") in text
 
     def test_missing_required_flag_is_usage_error(self, tmp_path, capsys):
         data = small_csv(tmp_path)
@@ -505,7 +529,7 @@ class TestBenchmark:
         for kind, names in given.items():
             assert names == {f.name for f in dataclasses.fields(kind)}, kind
 
-    def test_lns_early_stop_defaults_to_at_most_the_sweep_budget(
+    def test_lns_early_stop_defaults_to_its_config_field(
             self, tmp_path, monkeypatch, capsys):
         configs = []
         build = cli._config
@@ -521,11 +545,12 @@ class TestBenchmark:
                               "--lns-iters", "50")
         assert code == 0 and "gld-lns" in stdout
         lns = [c for c in configs if isinstance(c, LnsConfig)]
-        assert lns == [LnsConfig(max_iters=50, early_stop=50)]
+        assert lns == [LnsConfig(max_iters=50)]
+        assert lns[0].early_stop == LnsConfig.early_stop
         code, _, stderr = run(capsys, "benchmark", data, "--methods",
                               "gld-lns", "--folds", "2", "--trials", "1",
-                              "--lns-iters", "50", "--lns-early-stop", "51")
-        assert code == 2 and "early_stop must be in" in stderr
+                              "--lns-iters", "50", "--lns-early-stop", "0")
+        assert code == 2 and "early_stop must be at least 1" in stderr
 
     def test_unknown_method_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -246,7 +246,9 @@ class TestComputeClassStats:
                 compute_class_stats(data, 0, 2)
         assert compute_class_stats(data, 1, 0)[0].mean is s2.mean
 
-    def test_subset_keeps_moments_of_classes_kept_whole_in_order(self):
+    def test_subset_caches_moments_anew(self):
+        # only the dataset itself, every row in order, keeps its moments;
+        # train_ovo hands a class pair those of its two classes
         data = LabeledDataset(
             [[0.0], [1.0], [4.0], [6.0], [2.0], [9.0], [3.0], [5.0]],
             [0, 1, 0, 1, 2, 2, 0, 2])
@@ -260,14 +262,13 @@ class TestComputeClassStats:
                     and compute_class_stats(sub, label, 2)[0].mean is mean}
 
         assert kept(range(8)) == {0, 1}
-        assert kept([0, 2, 4, 5, 6, 7]) == {0}       # class 1 left out
-        assert kept(np.array([1, 3, 4, 5])) == {1}
-        assert kept([0, 1, 2, 3, 5, 6, 7]) == {0, 1}
-        assert kept([0, 1, 3, 4, 5, 6, 7]) == {1}     # class 0 in part
-        assert kept([2, 0, 6, 1, 3, 4, 5, 7]) == set()  # rows reordered
-        assert kept([0, 0, 1, 2, 3, 4, 5, 6, 7]) == set()  # a row twice
-        assert kept(range(-8, 0)) == set()
-        assert kept(np.ones(8, dtype=bool)) == set()
+        for indices in ([0, 2, 4, 5, 6, 7], np.array([1, 3, 4, 5]),
+                        [0, 1, 2, 3, 5, 6, 7], [0, 1, 3, 4, 5, 6, 7],
+                        [2, 0, 6, 1, 3, 4, 5, 7], [0, 0, 1, 2, 3, 4, 5, 6, 7],
+                        range(-8, 0), np.ones(8, dtype=bool)):
+            assert kept(indices) == set(), indices
+        fresh = compute_class_stats(data.subset([0, 2, 4, 5, 6, 7]), 0, 2)[0]
+        assert fresh.mean.tobytes() == cached[0].tobytes()
 
     def test_only_a_constant_column_has_zero_variance(self):
         # the mean of fifteen 0.1s is not 0.1, and what that leaves in the
@@ -441,6 +442,23 @@ class TestGradient:
             worst = max(worst,
                         float(np.linalg.norm(analytic - numeric)) / scale)
         assert worst <= 1e-4
+
+
+class TestLinearDiscriminant:
+    @pytest.mark.parametrize("w, w0", [([np.nan], 0.0), ([1.0, np.inf], 0.0),
+                                       ([-np.inf], 0.0), ([1.0], np.nan),
+                                       ([1.0], np.inf), ([1.0], -np.inf)],
+                             ids=["nan_w", "inf_w", "minus_inf_w", "nan_w0",
+                                  "inf_w0", "minus_inf_w0"])
+    def test_non_finite_rule_rejected_when_built(self, w, w0):
+        # a NaN weight used to classify every sample into the second class
+        with pytest.raises(ValueError, match="non-finite"):
+            LinearDiscriminant(np.array(w), w0)
+
+    def test_finite_extremes_accepted(self):
+        big = np.finfo(float).max
+        disc = LinearDiscriminant([big, -big, 5e-324], -big)
+        assert disc.w[0] == big and disc.w0 == -big
 
 
 class TestClassify:

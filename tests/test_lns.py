@@ -132,8 +132,6 @@ class TestLnsConfig:
         with pytest.raises(ValueError):
             LnsConfig(max_iters=0)
         with pytest.raises(ValueError):
-            LnsConfig(max_iters=10, early_stop=11)
-        with pytest.raises(ValueError):
             LnsConfig(early_stop=0)
         for frac in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
@@ -148,6 +146,22 @@ class TestLnsConfig:
     def test_numpy_integer_counts_accepted(self):
         cfg = LnsConfig(max_iters=np.int64(3), early_stop=np.int64(3))
         assert (cfg.max_iters, cfg.early_stop) == (3, 3)
+
+    def test_early_stop_above_the_sweep_budget_never_fires(self):
+        # the same sweeps and on_sweep calls as early_stop == max_iters,
+        # which can end only the last sweep
+        for init, data, cfg, class_a, class_b in tie_heavy_problems(7, 40):
+            runs = []
+            for early_stop in (cfg.max_iters, cfg.max_iters + 1, 10 ** 9):
+                sweeps = []
+                disc, count = local_neighbourhood_search(
+                    init, data, LnsConfig(cfg.max_iters, early_stop,
+                                          cfg.perturb_fraction),
+                    class_a=class_a, class_b=class_b,
+                    on_sweep=lambda i, best: sweeps.append((i, best)))
+                runs.append((disc.w.tobytes(), disc.w0, count, sweeps))
+            assert runs[0] == runs[1] == runs[2]
+            assert len(runs[0][3]) == cfg.max_iters
 
     def test_defaults(self):
         cfg = LnsConfig()

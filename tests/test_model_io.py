@@ -54,6 +54,37 @@ class TestRoundTrip:
         assert metadata == {}
 
 
+    def test_save_refuses_what_load_refuses(self, tmp_path):
+        # a non-str method or a metadata that is not None or a dict used
+        # to write a file that load_model refused, [] silently as {}
+        model, _ = trained_model(seed=9, k=2)
+        path = tmp_path / "model.json"
+        for method, metadata in ((5, [1]), ("lda", []), ("lda", "x"),
+                                 (None, None), ("lda", 0)):
+            with pytest.raises(ValueError, match="method must be a str"):
+                save_model(str(path), model, method, metadata)
+        assert not path.exists()
+
+    def test_failed_save_leaves_the_old_file_whole(self, tmp_path):
+        # numpy class indices used to make json.dump raise halfway through,
+        # leaving the old file truncated; they are stored as int now
+        model, _ = trained_model(seed=10, k=3)
+        path = tmp_path / "model.json"
+        save_model(str(path), model, "gld", {"n": 3})
+        before = path.read_bytes()
+        numpy_model = OvoModel(
+            tuple((np.int64(a), np.int32(b), disc, np.float64(p_e))
+                  for a, b, disc, p_e in model.pairs), np.int64(3),
+            model.class_names)
+        save_model(str(path), numpy_model, "gld", {"n": 3})
+        assert path.read_bytes() == before
+        # metadata that JSON cannot hold raises before the file is opened
+        for metadata in ({"n": np.int64(3)}, {"seen": {1, 2}}):
+            with pytest.raises(TypeError):
+                save_model(str(path), model, "gld", metadata)
+            assert path.read_bytes() == before
+
+
 class TestFormatGuards:
     def test_version_gate(self, tmp_path):
         model, _ = trained_model(seed=4, k=2)
@@ -113,7 +144,9 @@ class TestFormatGuards:
             document["pairs"][0][key] = value
             broken = tmp_path / f"{key}.json"
             broken.write_text(json.dumps(document))   # NaN, Infinity
-            with pytest.raises(ParseError):
+            # the rule refuses a non-finite weight or threshold when built
+            reason = "outside" if key == "p_e" else "non-finite"
+            with pytest.raises(ParseError, match=f"malformed .*{reason}"):
                 load_model(str(broken))
 
     def test_nesting_too_deep_to_decode(self, tmp_path):

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hetlda import (DimensionMismatch, EmptyClass, LabeledDataset,
-                    LinearDiscriminant, OvoModel, classify,
+from hetlda import (DegenerateProjection, DimensionMismatch, EmptyClass,
+                    LabeledDataset, LinearDiscriminant, OvoModel, classify,
                     compute_class_stats, generate_d2, make_trainer,
                     predict_ovo, predict_ovo_batch, train_ovo)
 
@@ -75,15 +75,11 @@ class TestOvoModel:
         assert model.class_names == ("a", "b")
 
     def test_non_finite_rules_rejected(self):
-        # a NaN weight used to vote for the second class on every row
-        ok = LinearDiscriminant(np.array([1.0, 2.0]), 0.0)
-        for disc in (LinearDiscriminant(np.array([1.0, np.nan]), 0.0),
-                     LinearDiscriminant(np.array([1.0, 2.0]), np.inf)):
+        # a NaN weight used to vote for the second class on every row; the
+        # rule is refused when built, so no model can hold one
+        for w, w0 in (([1.0, np.nan], 0.0), ([1.0, 2.0], np.inf)):
             with pytest.raises(ValueError, match="non-finite"):
-                OvoModel(((0, 1, disc, 0.1),), 2)
-            with pytest.raises(ValueError, match="non-finite"):
-                OvoModel(((0, 1, ok, 0.1), (0, 2, ok, 0.1),
-                          (1, 2, disc, 0.1)), 3)
+                LinearDiscriminant(np.array(w), w0)
 
     def test_class_fields_must_be_integers(self):
         disc = LinearDiscriminant(np.array([1.0]), 0.0)
@@ -94,9 +90,13 @@ class TestOvoModel:
                          (((0, 1, disc, 0.1),), True)):
             with pytest.raises(ValueError, match="not an integer"):
                 OvoModel(pairs, k)
-        model = OvoModel(((np.int64(0), np.int32(1), disc, 0.1),),
-                         np.int64(2))
+        model = OvoModel(
+            ((np.int64(0), np.int32(1), disc, np.float32(0.5)),), np.int64(2))
         assert model.n_classes == 2
+        # stored as the Python numbers json writes
+        assert type(model.n_classes) is int
+        assert [type(v) for v in model.pairs[0]] == [int, int,
+                                                     LinearDiscriminant, float]
 
     def test_weight_vectors_share_one_non_empty_length(self):
         short, long = (LinearDiscriminant(np.ones(d), 0.0) for d in (2, 3))
@@ -168,6 +168,29 @@ class TestTrainOvo:
                 # one computation per class, shared by its three pairs
                 assert means.setdefault(label, stats.mean) is stats.mean
         assert len(seen) == 6 and len(means) == 4
+
+    def test_a_class_whose_moments_raise_fails_only_its_pairs(self):
+        # squares of 1e200 overflow: class 2 has no moments to hand over,
+        # and computing them again on its pairs raises again
+        data = LabeledDataset([[0.0], [1.0], [4.0], [6.0], [1e200], [-1e200]],
+                              [0, 0, 1, 1, 2, 2])
+        handed, raised = {}, []
+
+        def recording(pair, a, b):
+            handed[a, b] = {label: pair._moments.get(label) is
+                            data._moments.get(label, False)
+                            for label in (a, b)}
+            try:
+                compute_class_stats(pair, a, b)
+            except DegenerateProjection:
+                raised.append((a, b))
+            return LinearDiscriminant([1.0], 0.0), 0.5
+
+        train_ovo(data, recording)
+        assert handed == {(0, 1): {0: True, 1: True},
+                          (0, 2): {0: True, 2: False},
+                          (1, 2): {1: True, 2: False}}
+        assert raised == [(0, 2), (1, 2)]
 
     def test_two_classes_train_on_the_dataset_itself(self):
         data = blobs([(0.0, 0.0), (4.0, 4.0)], 20, seed=6)

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from hetlda import (DimensionMismatch, LabeledDataset, compute_class_stats,
                     q_function, solve_symmetric)
-from hetlda.numkit import unit_diagonal_eigh
+from hetlda.numkit import _SINGULAR_RTOL, _above_cut, unit_diagonal_eigh
 
 # Tail probabilities frozen from numerical integration of the standard
 # normal density (adaptive quadrature, abs tol 1e-14).
@@ -141,6 +141,23 @@ class TestSolveSymmetric:
     def test_non_square_matrix(self):
         with pytest.raises(DimensionMismatch):
             solve_symmetric(np.zeros((2, 3)), np.zeros(2))
+
+
+class TestRankCut:
+    def test_drops_the_cut_itself_and_nan(self):
+        up = np.nextafter(_SINGULAR_RTOL, 1.0)
+        assert _SINGULAR_RTOL * 1.0 == 1e-14
+        assert _above_cut(np.array([1.0, 1e-14, up, -up, -1e-14, 0.0])
+                          ).tolist() == [True, False, True, True, False, False]
+        assert not _above_cut(np.array([1.0, np.nan, 0.5])).any()
+
+    def test_each_column_against_its_own_largest(self):
+        up = np.nextafter(_SINGULAR_RTOL, 1.0)
+        e = np.array([[1.0, -2.0, 4.0], [1e-14, 2e-14, np.nan],
+                      [up, 2.0 * up, 4.0]])
+        assert _above_cut(e).tolist() == [[True, True, False],
+                                          [False, False, False],
+                                          [True, True, False]]
 
 
 class TestQFunction:
