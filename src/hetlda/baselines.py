@@ -211,13 +211,13 @@ def _blend_search(stats1: ClassStats, stats2: ClassStats, priors: Priors,
     scoring of every candidate."""
     t, lam, mu, b, m1, m2 = _blend_basis(stats1, stats2, priors)
     x = _blend_directions(b, lam, mu, s1, s2)
-    mu1, mu2 = x @ m1, x @ m2
-    var1, var2 = (x * x) @ lam, (x * x) @ mu
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mu1, mu2 = x @ m1, x @ m2
+        var1, var2 = (x * x) @ lam, (x * x) @ mu
         w0 = threshold(s1, s2, mu1, mu2, var1, var2)
         za, zb = (mu1 - w0) / np.sqrt(var1), (w0 - mu2) / np.sqrt(var2)
-    usable = (np.isfinite(w0 + var1 + var2)
-              & (np.minimum(var1, var2) > _MIN_PROJECTED_VARIANCE))
+        usable = (np.isfinite(w0 + var1 + var2)
+                  & (np.minimum(var1, var2) > _MIN_PROJECTED_VARIANCE))
     if not np.any(usable):
         raise DegenerateProjection("no blend candidate produced a usable rule")
     i, pe = _screened_argmin(priors, za, zb, usable)

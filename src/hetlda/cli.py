@@ -14,8 +14,9 @@ import time
 import numpy as np
 
 from .baselines import SweepConfig
-from .data import (_WRITE_BLOCK_ROWS, CvPlan, generate_d1, generate_d2,
-                   load_csv, load_matrix_csv, run_benchmark, save_csv)
+from .data import (_WRITE_BLOCK_ROWS, CvPlan, accuracy_score, generate_d1,
+                   generate_d2, load_csv, load_matrix_csv, run_benchmark,
+                   save_csv)
 from .errors import HetldaError
 from .gld import GldConfig
 from .lns import LnsConfig
@@ -146,7 +147,7 @@ def cmd_predict(args) -> int:
         # each model class as the data's label of the same name, or -1
         same = {name: k for k, name in enumerate(data.class_names)}
         as_data = np.array([same.get(name, -1) for name in names])
-        acc = float(np.mean(as_data[predicted] == data.labels))
+        acc = accuracy_score(as_data[predicted], data.labels)
         print(f"accuracy: {acc:.4f}")
     return 0
 

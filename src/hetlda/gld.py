@@ -175,7 +175,8 @@ def train_gld(stats1: ClassStats, stats2: ClassStats, priors: Priors,
         _, _, blend = _blend_search(stats1, stats2, priors, np.cos(angles),
                                     np.sin(angles), _midpoint_threshold)
     except DegenerateProjection:  # every scanned blend's variance vanished
-        x = b  # Fisher's direction, as pi1 lam + pi2 mu = 1
+        # Fisher's direction, as pi1 lam + pi2 mu = 1, at unit max-norm
+        x = b / np.abs(b).max()  # so that w @ w below is not subnormal
     else:
         x = _blend_directions(b, lam, mu, *blend)
     records: list[GldIterate] = []

@@ -5,11 +5,13 @@ Useful when the data are not well modelled as Gaussian: the model-based
 error that drives the fixed-point trainer stops being meaningful, but
 counting mistakes never does.
 
-A sweep scores all of its candidates at once. One matrix product per
-block of rows projects the rows on every candidate direction; the sides
-are written into one bool buffer, reused by every block and sweep, whose
-rows are padded to whole 8-byte words; and the mistakes are the set bits
-of those words XOR the class sides, packed the same way once per search.
+The starting rule's mistakes are counted once, by training_error_count;
+the search's own kernel scores only sweeps, all of a sweep's candidates
+at once. One matrix product per block of rows projects the rows on
+every candidate direction; the sides are written into one bool buffer,
+reused by every block and sweep, whose rows are padded to whole 8-byte
+words; and the mistakes are the set bits of those words XOR the class
+sides, packed the same way once per search.
 
 All else a sweep needs is made once per search too: the candidate
 matrix, rewritten in place by every sweep, the views into the side
@@ -27,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .discriminant import (LabeledDataset, LinearDiscriminant,
-                           _class_pair, _integer)
+                           _class_pair, _integer, training_error_count)
 from .errors import DimensionMismatch
 
 __all__ = ["LnsConfig", "local_neighbourhood_search"]
@@ -82,16 +84,16 @@ def local_neighbourhood_search(
     stacked vector [w0, w] (2(d+1) candidates) and adopts the candidate
     with the fewest mistakes, even when that is a sideways or uphill
     move; the best solution ever seen is tracked separately and is what
-    gets returned, together with its error count. One matrix product of
-    the features with all candidates scores a whole sweep, in blocks of
-    rows, and the mistakes are counted as set bits of packed words (see
-    the module docstring). Candidate ties go to the lowest component
-    index, + before -, which is the order of a loop over the candidates.
-    class_a and class_b are given both or neither; neither means the two
-    labels of a two-class train, smaller first. Rows labelled neither
-    class_a nor class_b count as errors on both sides. on_sweep, when
-    given, is called with (sweep_index, best_count_so_far) after each
-    sweep.
+    gets returned, together with its error count. The start is counted
+    by training_error_count; one matrix product of the features with all
+    candidates scores a whole sweep, in blocks of rows, and the mistakes
+    are counted as set bits of packed words (see the module docstring).
+    Candidate ties go to the lowest component index, + before -, which
+    is the order of a loop over the candidates. class_a and class_b are
+    given both or neither; neither means the two labels of a two-class
+    train, smaller first. Rows labelled neither class_a nor class_b
+    count as errors on both sides. on_sweep, when given, is called with
+    (sweep_index, best_count_so_far) after each sweep.
     """
     cfg = cfg or LnsConfig()
     if train.n_features != init.w.shape[0]:
@@ -100,11 +102,11 @@ def local_neighbourhood_search(
             f"{init.w.shape[0]}")
     class_a, class_b = _class_pair(train, class_a, class_b)
 
-    count_errors = _error_counter(train, class_a, class_b, init.w.shape[0] + 1)
+    count_errors = _error_counter(train, class_a, class_b)
 
     current = np.concatenate(([init.w0], init.w))
     best = current
-    best_count = int(count_errors(current[:, None])[0])
+    best_count = training_error_count(init, train, class_a, class_b)
     stall = 0
 
     candidates = np.empty((current.shape[0], 2 * current.shape[0]))
@@ -127,11 +129,11 @@ def local_neighbourhood_search(
 
 
 def _sweep_candidates(current: np.ndarray, perturb_fraction: float,
-                      out: np.ndarray | None = None) -> np.ndarray:
+                      out: np.ndarray) -> None:
     # Column 2i is current with +delta_i on component i, column 2i+1 the
     # same with -delta_i; a zero delta_i becomes the absolute step, whose
     # scale is looked up only then. Written into out, a C-contiguous
-    # (size x 2 size) buffer, when given.
+    # (size x 2 size) buffer.
     magnitude = np.abs(current)
     delta = perturb_fraction * magnitude
     if not delta.all():
@@ -139,22 +141,21 @@ def _sweep_candidates(current: np.ndarray, perturb_fraction: float,
         delta[delta == 0.0] = _ZERO_STEP_FRACTION * scale if scale > 0 \
             else _ZERO_STEP_FRACTION
     size = current.shape[0]
-    candidates = np.empty((size, 2 * size)) if out is None else out
-    candidates[...] = current[:, None]
+    out[...] = current[:, None]
     # entries (i, 2i) sit 2 * size + 2 apart in the flat array
-    flat = candidates.reshape(-1)
+    flat = out.reshape(-1)
     plus, minus = flat[::2 * size + 2], flat[1::2 * size + 2]
     np.add(plus, delta, out=plus)
     np.subtract(minus, delta, out=minus)
-    return candidates
 
 
-def _error_counter(train: LabeledDataset, class_a: int, class_b: int,
-                   size: int) -> Callable[[np.ndarray], np.ndarray]:
+def _error_counter(train: LabeledDataset, class_a: int, class_b: int
+                   ) -> Callable[[np.ndarray], np.ndarray]:
     # A function that gives the mistakes of each column [w0; w] of a
-    # (size x m) candidate matrix, m = 1 or a sweep's 2 * size, on the rows
-    # labelled class_a or class_b, plus one for each row of another class.
-    # Columns from 2 on share the threshold of column 2, as a sweep's do.
+    # sweep's (d+1) x 2(d+1) candidate matrix on the rows labelled class_a
+    # or class_b, plus one for each row of another class. Columns from 2
+    # on share the threshold of column 2, as a sweep's do.
+    size = train.n_features + 1
     features, labels = train.features, train.labels
     is_a = labels == class_a
     in_pair = is_a | (labels == class_b)
@@ -187,27 +188,22 @@ def _error_counter(train: LabeledDataset, class_a: int, class_b: int,
             else None
         predicted = side_a[:, :block_rows]
         blocks.append((block_t, predicted[0], predicted[1], predicted[2:],
-                       pad, words[:1, :n_words], words[:, :n_words],
-                       actual.view(np.uint64)))
+                       pad, words[:, :n_words], actual.view(np.uint64)))
 
     def count_errors(candidates: np.ndarray) -> np.ndarray:
-        m = candidates.shape[1]
         weights, thresholds = candidates[1:].T, candidates[0]
-        counts = np.zeros(m, dtype=np.uint64)
-        for (block_t, first, second, rest, pad, start_words, sweep_words,
-             actual) in blocks:
+        counts = np.zeros(2 * size, dtype=np.uint64)
+        for block_t, first, second, rest, pad, mistakes, actual in blocks:
             # A row within rounding of a threshold takes its side from
             # the last bits of this product, which may differ from those
             # of a product with one candidate at a time; the product's
             # shape and layout stay fixed, so that a search repeats.
             products = weights @ block_t
             np.greater_equal(products[0], thresholds[0], out=first)
-            if m > 1:
-                np.greater_equal(products[1], thresholds[1], out=second)
-                np.greater_equal(products[2:], thresholds[2], out=rest)
+            np.greater_equal(products[1], thresholds[1], out=second)
+            np.greater_equal(products[2:], thresholds[2], out=rest)
             if pad is not None:
                 pad[...] = False
-            mistakes = sweep_words if m > 1 else start_words
             np.bitwise_xor(mistakes, actual, out=mistakes)
             # add.reduce, not .sum: 23 against 27 us a count at 1800 x 6
             counts += np.add.reduce(np.bitwise_count(mistakes), axis=1)

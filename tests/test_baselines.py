@@ -253,6 +253,17 @@ class TestVanishingCovariances:
             with pytest.raises(DegenerateProjection, match="no blend"):
                 train(s1, s2, priors, cfg)
 
+    def test_blend_searches_at_an_overflowing_separation(self):
+        # means 1e155 standard deviations apart: every blend's projected
+        # moments overflow, and the searches say so with DegenerateProjection
+        # alone, with no overflow warning first
+        s1 = ClassStats(np.array([1e155, 0.0]), np.diag([1.0, 2.0]), 100)
+        s2 = ClassStats(np.zeros(2), np.diag([3.0, 0.5]), 200)
+        priors = Priors(1 / 3, 2 / 3)
+        for train in (train_chld, train_rhld1, train_rhld2):
+            with pytest.raises(DegenerateProjection, match="no blend"):
+                train(s1, s2, priors)
+
 
 class TestCommonGuarantees:
     def test_rules_are_well_formed(self):

@@ -79,15 +79,23 @@ class TestGenerate:
         assert done.returncode == 0, done.stderr
         assert len(out.read_text().splitlines()) == 6000
 
+    def test_cli_module_entry_point(self, tmp_path):
+        # python -m hetlda.cli, as the README documents it
+        out = tmp_path / "d1.csv"
+        done = module_run("generate", "d1", "--seed", "1", "--out", str(out),
+                          module="hetlda.cli")
+        assert done.returncode == 0, done.stderr
+        assert len(out.read_text().splitlines()) > 1
 
-def module_run(*argv):
-    # python -m hetlda in a child process, so that stderr shows anything
-    # the program or numpy would print there
+
+def module_run(*argv, module="hetlda"):
+    # python -m hetlda (or another module) in a child process, so that
+    # stderr shows anything the program or numpy would print there
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, "-m", "hetlda", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
                           capture_output=True, text=True)
 
 

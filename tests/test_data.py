@@ -254,6 +254,24 @@ class TestNumpyPath:
             assert hetlda.data._read_plain(path, has_header, column) \
                 is not None
 
+    def test_undecodable_byte_past_the_fault(self, tmp_path, monkeypatch):
+        # The pre-pass decodes the whole file and gives up at the byte that
+        # is not UTF-8, beyond the first 8 KB; the csv loop decodes as it
+        # reads, so it reports row 2's bad feature, whichever column holds
+        # the label, before reaching that byte.
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"1.0,0\noops,oops\n" + b"2.0,0\n" * 2000
+                         + b"\xff,1\n")
+        assert hetlda.data._read_plain(str(path), False, -1) is None
+        for plain in (True, False):
+            if not plain:
+                monkeypatch.setattr(hetlda.data, "_read_plain",
+                                    lambda *args: None)
+            for load, kwargs in self.LOADS:
+                with pytest.raises(ParseError) as info:
+                    load(str(path), **kwargs)
+                assert info.value.row == 2
+
     @pytest.mark.parametrize("name", [
         "wider_row", "nul_in_label", "underscore_cell", "arabic_digit_cell",
         "quoted_label_with_comma", "quoted_labels",

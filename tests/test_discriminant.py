@@ -460,6 +460,10 @@ class TestLinearDiscriminant:
         disc = LinearDiscriminant([big, -big, 5e-324], -big)
         assert disc.w[0] == big and disc.w0 == -big
 
+    def test_weights_must_be_a_vector(self):
+        with pytest.raises(DimensionMismatch, match="vector"):
+            LinearDiscriminant(np.ones((2, 2)), 0.0)
+
 
 class TestClassify:
     def test_boundary_tie_goes_first_class(self):

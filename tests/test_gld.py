@@ -443,6 +443,23 @@ class TestCurveStart:
             assert_allclose(trace.records[0].w, w / np.linalg.norm(w),
                             rtol=1e-14)
 
+    def test_fisher_start_when_every_blend_is_unusable(self):
+        # means 1e-160 apart: every scanned blend's projected variance
+        # falls below the floor, so the loop starts from Fisher's
+        # direction, whose squared length in the basis is subnormal
+        s1 = ClassStats(np.array([1e-160, 0.0]), np.diag([1.0, 2.0]), 100)
+        s2 = ClassStats(np.zeros(2), np.diag([3.0, 0.5]), 200)
+        priors = Priors(1 / 3, 2 / 3)
+        for train in (train_lda, hetlda.baselines.train_chld,
+                      train_rhld1, hetlda.baselines.train_rhld2):
+            with pytest.raises(DegenerateProjection):
+                train(s1, s2, priors)
+        _, p_e, trace = train_gld(s1, s2, priors)
+        assert p_e == priors.pi1
+        assert trace.converged_by == "complex_root"
+        (record,) = trace.records
+        assert abs(np.linalg.norm(record.w) - 1.0) <= 1e-15
+
 
 class TestTrainGldExits:
     """The stops that d1_population never reaches, forced by making one

@@ -354,8 +354,10 @@ class TestErrorCounter:
     def assert_matches_reference(self, problems):
         # Each problem's first rows, n - 7 … n of them, so that the pair's
         # row counts take every residue mod 8; one counter per dataset
-        # scores the start column and three sweeps along the reference's
-        # picks, so that its reused buffer carries bits between calls.
+        # scores three sweeps along the reference's picks, so that its
+        # reused buffer carries bits between calls. The search counts its
+        # start with training_error_count, checked here against the
+        # reference's count of the start column.
         seen = {"residues": set(), "short_tail": False, "other": False}
         for init, data, cfg, class_a, class_b in problems:
             for drop in range(min(8, data.n_samples - 1)):
@@ -366,20 +368,20 @@ class TestErrorCounter:
                 block = hetlda.lns._BLOCK_ROWS
                 seen["short_tail"] |= in_pair > block and in_pair % block > 0
                 seen["other"] |= in_pair < part.n_samples
-                count = hetlda.lns._error_counter(part, class_a, class_b,
-                                                  init.w.shape[0] + 1)
+                count = hetlda.lns._error_counter(part, class_a, class_b)
                 current = np.concatenate(([init.w0], init.w))
-                assert np.array_equal(
-                    count(current[:, None]),
-                    reference_counts(part, class_a, class_b,
-                                     current[:, None]))
+                assert training_error_count(init, part, class_a, class_b) \
+                    == reference_counts(part, class_a, class_b,
+                                        current[:, None])[0]
+                size = current.shape[0]
+                candidates = np.empty((size, 2 * size))
                 for _ in range(3):
-                    candidates = hetlda.lns._sweep_candidates(
-                        current, cfg.perturb_fraction)
+                    hetlda.lns._sweep_candidates(
+                        current, cfg.perturb_fraction, candidates)
                     want = reference_counts(part, class_a, class_b,
                                             candidates)
                     assert np.array_equal(count(candidates), want)
-                    current = candidates[:, int(np.argmin(want))]
+                    current = candidates[:, int(np.argmin(want))].copy()
         return seen
 
     def test_matches_reference_kernel_on_tie_heavy_problems(self):
@@ -396,6 +398,7 @@ class TestErrorCounter:
     def test_pair_without_rows_counts_only_the_other_class(self):
         data = LabeledDataset(np.array([[1.0], [2.0], [3.0]]),
                               np.array([2, 2, 2]))
-        count = hetlda.lns._error_counter(data, 0, 1, 2)
-        candidates = hetlda.lns._sweep_candidates(np.array([0.5, 1.0]), 0.1)
+        count = hetlda.lns._error_counter(data, 0, 1)
+        candidates = np.empty((2, 4))
+        hetlda.lns._sweep_candidates(np.array([0.5, 1.0]), 0.1, candidates)
         assert count(candidates).tolist() == [3] * 4
