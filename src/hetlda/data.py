@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import time
 import warnings
 from array import array
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -48,6 +50,18 @@ def _parse_feature(cell: str, row: int, column: int) -> float:
         raise ParseError(f"feature cell {cell!r} is not finite",
                          row=row, column=column)
     return value
+
+
+def _parse_label(cell: str, row: int, column: int, encoding: str) -> str:
+    # a byte the file's encoding cannot decode is read as a lone
+    # surrogate, which no strict encoder accepts
+    label = cell.strip()
+    try:
+        label.encode(encoding)
+    except UnicodeEncodeError:
+        raise ParseError(f"label cell {label!r} is not valid {encoding}",
+                         row=row, column=column) from None
+    return label
 
 
 def _label_index(width: int, label_column: int) -> int:
@@ -125,15 +139,16 @@ def _read(path: str, has_header: bool, label_column: int | None
     one pass: each non-empty row is width-checked and parsed as it
     arrives, so an error locates the first fault in file order. With
     label_column None every cell is a feature. A row the csv module
-    cannot split (a cell past its field size limit) is a ParseError.
-    Plain numeric files take _read_plain's numpy path instead."""
+    cannot split (a cell past its field size limit), and a cell holding
+    a byte the file's encoding cannot decode, are ParseErrors. Plain
+    numeric files take _read_plain's numpy path instead."""
     plain = _read_plain(path, has_header, label_column)
     if plain is not None:
         return plain
     values = array("d")
     labels = []
     width = col = None
-    with open(path, newline="") as handle:
+    with open(path, newline="", errors="surrogateescape") as handle:
         reader = csv.reader(handle)
         rows = (row for row in reader if row)
         try:
@@ -150,7 +165,8 @@ def _read(path: str, has_header: bool, label_column: int | None
                         f"{len(row)} cells, expected {width}", row=line)
                 for c, cell in enumerate(row):
                     if c == col:
-                        labels.append(cell.strip())
+                        labels.append(_parse_label(cell, line, c + 1,
+                                                   handle.encoding))
                     else:
                         values.append(
                             _parse_feature(cell.strip(), line, c + 1))
@@ -284,14 +300,39 @@ class CvPlan:
             raise ValueError("seed must be non-negative")
 
 
+class _Trial(Sequence):
+    """One trial's folds, kept as the fold of each row. Fold f is built
+    when it is read: (train_indices, test_indices), both sorted."""
+
+    __slots__ = ("_fold_of", "_folds")
+
+    def __init__(self, fold_of: np.ndarray, folds: int):
+        self._fold_of = fold_of
+        self._folds = folds
+
+    def __len__(self) -> int:
+        return self._folds
+
+    def __getitem__(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
+        fold = operator.index(fold)
+        if not -self._folds <= fold < self._folds:
+            raise IndexError(f"fold {fold} out of range for "
+                             f"{self._folds} folds")
+        test = self._fold_of == fold % self._folds
+        return (~test).nonzero()[0], test.nonzero()[0]
+
+
 def kfold_split(data: LabeledDataset, plan: CvPlan
-                ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Per trial, a list of (train_indices, test_indices) partitions.
+                ) -> list[Sequence[tuple[np.ndarray, np.ndarray]]]:
+    """Per trial, a sequence of (train_indices, test_indices) partitions.
 
     Trial t shuffles with seed + t. Each class is permuted separately
     and split into near-equal consecutive chunks, one per fold, so fold
     class counts differ by at most one. Every class needs at least as
-    many samples as there are folds.
+    many samples as there are folds. A trial keeps only the fold of each
+    row, one small integer per row (a byte up to 256 folds); a fold's
+    index arrays are built each time it is read, so they live only as
+    long as their reader holds them.
     """
     if data.n_samples < plan.folds:
         raise ValueError(f"{data.n_samples} samples cannot fill "
@@ -302,21 +343,16 @@ def kfold_split(data: LabeledDataset, plan: CvPlan
             raise InfeasibleStratification(
                 f"class {label} has {count} samples, fewer than "
                 f"{plan.folds} folds")
+    dtype = np.min_scalar_type(plan.folds - 1)
     trials = []
     for trial in range(plan.trials):
         rng = np.random.default_rng(plan.seed + trial)
-        test_folds: list[list[np.ndarray]] = [[] for _ in range(plan.folds)]
+        fold_of = np.empty(data.n_samples, dtype=dtype)
         for label in range(data.n_classes):
             perm = rng.permutation(data.class_indices(label))
             for f, part in enumerate(np.array_split(perm, plan.folds)):
-                test_folds[f].append(part)
-        splits = []
-        for parts in test_folds:
-            test = np.sort(np.concatenate(parts))
-            mask = np.ones(data.n_samples, dtype=bool)
-            mask[test] = False
-            splits.append((np.flatnonzero(mask), test))
-        trials.append(splits)
+                fold_of[part] = f
+        trials.append(_Trial(fold_of, plan.folds))
     return trials
 
 
@@ -476,19 +512,25 @@ def run_benchmark(data: LabeledDataset,
     is recorded as a failure and excluded from the aggregates.
     Standardization, when enabled, fits the scaling on each training
     fold only; a fold where it cannot fails every cell of that fold.
+    The run keeps kfold_split's fold of each row, one small integer per
+    row per trial; a fold's index arrays are built when its cells run
+    and dropped when they end.
     """
     if not methods:
         raise ValueError("need at least one method")
     plan = plan or CvPlan()
     splits = kfold_split(data, plan)
     trainers = [trainer for _name, trainer in methods]
-    jobs = [(train_idx, test_idx, trial, fold)
-            for trial in range(plan.trials)
-            for fold, (train_idx, test_idx) in enumerate(splits[trial])]
-    # one pool thread, on which perfbench's tracer opens data.cell spans
+    # one pool thread, on which perfbench's tracer opens data.cell spans.
+    # Each fold's indices are built here, one fold at a time: pool.map
+    # would build every fold's at once, and built on the pool thread
+    # they led the allocator to return that thread's heap after each
+    # fold, for the next fold to fault back in
     with ThreadPoolExecutor(max_workers=default_workers()) as pool:
-        folds = list(pool.map(
-            lambda job: _run_fold(data, trainers, *job, standardize), jobs))
+        folds = [pool.submit(_run_fold, data, trainers, *pairs[fold], trial,
+                             fold, standardize).result()
+                 for trial, pairs in enumerate(splits)
+                 for fold in range(plan.folds)]
 
     rows = []
     for (name, _trainer), cells in zip(methods, zip(*folds)):

@@ -97,3 +97,25 @@ def exact_blend_search(stats1, stats2, priors, s1, s2, threshold):
     i = int(np.argmin(np.where(usable, pe, np.inf)))
     return (LinearDiscriminant(t @ x[i], w0[i]), float(pe[i]),
             (float(s1[i]), float(s2[i])), i)
+
+
+def reference_kfold_split(data, plan):
+    """Reference for kfold_split: every fold's (train, test) index arrays
+    built up front, per trial, from the same per-class permutations and
+    chunks."""
+    trials = []
+    for trial in range(plan.trials):
+        rng = np.random.default_rng(plan.seed + trial)
+        test_folds = [[] for _ in range(plan.folds)]
+        for label in range(data.n_classes):
+            perm = rng.permutation(data.class_indices(label))
+            for f, part in enumerate(np.array_split(perm, plan.folds)):
+                test_folds[f].append(part)
+        splits = []
+        for parts in test_folds:
+            test = np.sort(np.concatenate(parts))
+            mask = np.ones(data.n_samples, dtype=bool)
+            mask[test] = False
+            splits.append((np.flatnonzero(mask), test))
+        trials.append(splits)
+    return trials

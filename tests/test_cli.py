@@ -222,6 +222,15 @@ class TestTrain:
         assert code == 1 and stderr.startswith("error:")
         assert "row 2" in stderr
 
+    def test_undecodable_byte_exits_one_with_its_cell(self, tmp_path, capsys):
+        data = tmp_path / "bytes.csv"
+        data.write_bytes(b"1.0,0\n\xff,1\n")
+        code, _, stderr = run(capsys, "train", "gld", str(data),
+                              "--label-col", "-1",
+                              "--out", str(tmp_path / "m.json"))
+        assert code == 1 and stderr.startswith("error:")
+        assert "(row 2, column 1)" in stderr
+
     def test_features_too_large_to_square_exit_one(self, tmp_path, capfd):
         # the class covariances overflow; LAPACK used to get them and
         # print DLASCL complaints on standard output

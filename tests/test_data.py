@@ -20,6 +20,8 @@ from hetlda import (CSV_HEADER, METHOD_NAMES, CvPlan, DegenerateProjection,
                     kfold_split, load_csv, load_matrix_csv, make_trainer,
                     predict_ovo_batch, run_benchmark, save_csv, train_ovo)
 
+from helpers import reference_kfold_split
+
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
@@ -272,6 +274,23 @@ class TestNumpyPath:
                     load(str(path), **kwargs)
                 assert info.value.row == 2
 
+    @pytest.mark.parametrize("text, load, kwargs, column", [
+        (b"1.0,0\n\xff,1\n", load_csv, {}, 1),
+        (b"1.0,0\n2.0,\xffa\n", load_csv, {}, 2),
+        (b"0,1.0\n\xff,2.0\n", load_csv, {"label_column": 0}, 1),
+        (b"1.0,2.0\n3.0,4\xff\n", load_matrix_csv, {}, 2),
+        # the fault on row 2 comes first in the file, though the byte on
+        # row 3 lies in the first block the decoder reads
+        (b"1.0,0\noops,1\n\xff,1\n", load_csv, {}, 1)],
+        ids=["feature", "label", "first_label", "matrix", "fault_before"])
+    def test_undecodable_byte_is_located(self, tmp_path, text, load, kwargs,
+                                         column):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text)
+        with pytest.raises(ParseError) as info:
+            load(str(path), **kwargs)
+        assert (info.value.row, info.value.column) == (2, column)
+
     @pytest.mark.parametrize("name", [
         "wider_row", "nul_in_label", "underscore_cell", "arabic_digit_cell",
         "quoted_label_with_comma", "quoted_labels",
@@ -456,6 +475,57 @@ class TestKfoldSplit:
         shifted = kfold_split(data, CvPlan(folds=5, trials=2, seed=10))
         assert not all(
             np.array_equal(a[0][1], b[0][1]) for a, b in zip(first, shifted))
+
+    @pytest.mark.parametrize("data, plan", [
+        (generate_d1(0), CvPlan(folds=10, trials=2, seed=3)),
+        # 2000 and 4000 rows in 7 folds: chunks of two sizes per class
+        (generate_d2(1), CvPlan(folds=7, trials=3, seed=5)),
+        (three_class_data(n_per_class=41, seed=2), CvPlan(3, 4, 1)),
+        (LabeledDataset(np.arange(26.0)[:, None],
+                        np.repeat([2, 0, 1], [5, 8, 13])), CvPlan(2, 5, 7)),
+        # past 256 folds the fold of each row needs two bytes
+        (LabeledDataset(np.arange(600.0)[:, None], np.arange(600) % 2),
+         CvPlan(folds=300, trials=1))], ids=["d1", "d2", "k3", "f2", "f300"])
+    def test_matches_the_reference(self, data, plan):
+        for got, want in zip(kfold_split(data, plan),
+                             reference_kfold_split(data, plan), strict=True):
+            assert len(got) == len(want)
+            for pair, expected in zip(got, want, strict=True):
+                for array, reference in zip(pair, expected, strict=True):
+                    assert array.dtype == reference.dtype
+                    assert np.array_equal(array, reference)
+
+    def test_trial_is_a_sequence_of_folds(self):
+        data = two_blob_data()
+        trial = kfold_split(data, CvPlan(folds=4, trials=1, seed=2))[0]
+        expected = reference_kfold_split(data, CvPlan(4, 1, 2))[0]
+        assert len(trial) == 4 and len(list(trial)) == 4
+        for f in range(-4, 4):
+            for array, reference in zip(trial[f], expected[f], strict=True):
+                assert np.array_equal(array, reference)
+        for f in (4, -5):
+            with pytest.raises(IndexError):
+                trial[f]
+        # each access builds its own arrays
+        first, again = trial[1], trial[1]
+        for array, twin in zip(first, again):
+            assert np.array_equal(array, twin)
+            assert not np.shares_memory(array, twin)
+            array[:] = -1
+        assert np.array_equal(trial[1][1], expected[1][1])
+
+    def test_keeps_one_small_integer_per_row_per_trial(self):
+        data = generate_d2(0)
+        plan = CvPlan(folds=10, trials=20)
+        tracemalloc.start()
+        try:
+            splits = kfold_split(data, plan)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(splits) == plan.trials
+        # every fold's int64 index pair held at once would be 9.6 MB here
+        assert retained <= plan.trials * data.n_samples + 16384
 
 
 class TestAccuracyScore:
@@ -665,6 +735,20 @@ class TestRunBenchmark:
         assert len(seen) == 12 and stale == []
         assert all(ref() is None for ref in seen)
         assert data._moments == {}
+
+    def test_fold_indices_live_only_while_their_cells_run(self):
+        # 200 folds of 2e4 rows: holding every fold's int64 index pair
+        # at once would be 32 MB, 100 times the 320 KB of features
+        data = two_blob_data(n=20000, seed=9)
+        tracemalloc.start()
+        try:
+            report = run_benchmark(data, [("lda", make_trainer("lda"))],
+                                   CvPlan(folds=10, trials=20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.methods[0].failures == 0
+        assert peak < 8 * data.features.nbytes
 
     def test_standardizing_an_overflowing_spread_fails_its_cells(self):
         # the spread of a 1e200-scaled feature overflows; it must not be
